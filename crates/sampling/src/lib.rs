@@ -71,8 +71,8 @@ pub use multi::{
 };
 pub use outcome::{ObliviousEntry, ObliviousOutcome, WeightedEntry, WeightedOutcome};
 pub use poisson::{
-    ObliviousPoissonSampler, ObliviousPoissonSketch, PpsPoissonSampler, PpsPoissonSketch,
-    ThresholdRankSampler,
+    ObliviousPoissonSampler, ObliviousPoissonSketch, PoissonSketch, PpsPoissonSampler,
+    PpsPoissonSketch, ThresholdRankSampler,
 };
 pub use rank::{ExpRanks, PpsRanks, RankFamily};
 pub use sample::{InstanceSample, RankKind, SampleScheme};

@@ -199,6 +199,13 @@ impl pie_store::Decode for ObliviousPoissonSketch {
                 tag,
             });
         }
+        Self::decode_fields(r)
+    }
+}
+
+impl ObliviousPoissonSketch {
+    /// Decodes the fields that follow the family tag.
+    fn decode_fields(r: &mut dyn std::io::Read) -> Result<Self, StoreError> {
         let p = f64::decode(r)?;
         if !(p > 0.0 && p <= 1.0) {
             return Err(StoreError::InvalidValue {
@@ -370,6 +377,13 @@ impl pie_store::Decode for PpsPoissonSketch {
                 tag,
             });
         }
+        Self::decode_fields(r)
+    }
+}
+
+impl PpsPoissonSketch {
+    /// Decodes the fields that follow the family tag.
+    fn decode_fields(r: &mut dyn std::io::Read) -> Result<Self, StoreError> {
         let tau_star = f64::decode(r)?;
         if !(tau_star > 0.0 && tau_star.is_finite()) {
             return Err(StoreError::InvalidValue {
@@ -391,6 +405,108 @@ impl pie_store::Decode for PpsPoissonSketch {
             entries,
             ingested: usize::decode(r)?,
         })
+    }
+}
+
+/// Either Poisson sketch: the one sketch type for callers that choose the
+/// sampling regime at run time (weight-oblivious for Section 4, PPS for
+/// Sections 5–6) instead of at compile time.
+///
+/// Every operation delegates to the wrapped sketch, and so does the codec:
+/// a `PoissonSketch` encodes to exactly the bytes of the sketch it wraps,
+/// and decodes either family's bytes by their [`sketch_tag`].
+#[derive(Debug, Clone)]
+pub enum PoissonSketch {
+    /// A weight-oblivious Poisson sketch.
+    Oblivious(ObliviousPoissonSketch),
+    /// A weighted PPS Poisson sketch.
+    Pps(PpsPoissonSketch),
+}
+
+impl PoissonSketch {
+    /// The slot the sketch was opened for: its scheme (regime and
+    /// parameter), instance index, and seed assignment.  Only sketches of
+    /// one slot may merge, so a sketch restored from a file can be checked
+    /// against the slot it is loaded into.
+    #[must_use]
+    pub fn slot(&self) -> (SampleScheme, u64, SeedAssignment) {
+        match self {
+            Self::Oblivious(s) => (
+                SampleScheme::ObliviousPoisson { p: s.p },
+                s.instance_index,
+                s.seeds,
+            ),
+            Self::Pps(s) => (
+                SampleScheme::PpsPoisson {
+                    tau_star: s.tau_star,
+                },
+                s.instance_index,
+                s.seeds,
+            ),
+        }
+    }
+}
+
+impl Sketch for PoissonSketch {
+    #[inline]
+    fn ingest(&mut self, key: Key, weight: f64) {
+        match self {
+            Self::Oblivious(s) => s.ingest(key, weight),
+            Self::Pps(s) => s.ingest(key, weight),
+        }
+    }
+
+    fn merge(&mut self, other: &mut Self) {
+        match (self, other) {
+            (Self::Oblivious(a), Self::Oblivious(b)) => a.merge(b),
+            (Self::Pps(a), Self::Pps(b)) => a.merge(b),
+            _ => panic!("cannot merge weight-oblivious and PPS sketches"),
+        }
+    }
+
+    fn finalize(&mut self) -> InstanceSample {
+        match self {
+            Self::Oblivious(s) => s.finalize(),
+            Self::Pps(s) => s.finalize(),
+        }
+    }
+
+    fn reset(&mut self, seeds: &SeedAssignment, instance_index: u64) {
+        match self {
+            Self::Oblivious(s) => s.reset(seeds, instance_index),
+            Self::Pps(s) => s.reset(seeds, instance_index),
+        }
+    }
+
+    fn ingested(&self) -> usize {
+        match self {
+            Self::Oblivious(s) => s.ingested(),
+            Self::Pps(s) => s.ingested(),
+        }
+    }
+}
+
+impl pie_store::Encode for PoissonSketch {
+    fn encode(&self, w: &mut dyn std::io::Write) -> Result<(), StoreError> {
+        match self {
+            Self::Oblivious(s) => s.encode(w),
+            Self::Pps(s) => s.encode(w),
+        }
+    }
+}
+
+impl pie_store::Decode for PoissonSketch {
+    fn decode(r: &mut dyn std::io::Read) -> Result<Self, StoreError> {
+        match u32::decode(r)? {
+            sketch_tag::OBLIVIOUS_POISSON => {
+                ObliviousPoissonSketch::decode_fields(r).map(Self::Oblivious)
+            }
+            sketch_tag::PPS_POISSON => PpsPoissonSketch::decode_fields(r).map(Self::Pps),
+            tag => Err(StoreError::InvalidTag {
+                what: "PoissonSketch",
+                tag,
+            }),
+        }
     }
 }
 

@@ -49,7 +49,7 @@ pub enum SeedVisibility {
 /// The assignment is a pure function: calling [`SeedAssignment::seed`] twice
 /// with the same arguments always returns the same value, which is what makes
 /// the "known seeds" estimation model implementable in practice.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedAssignment {
     hasher: Hasher64,
     coordination: Coordination,

@@ -13,7 +13,7 @@
 //!    (for VarOpt this exercises the replayed RNG state).
 
 use pie_sampling::{
-    merge_tree, BottomKSampler, ExpRanks, InstanceSample, ObliviousPoissonSampler,
+    merge_tree, BottomKSampler, ExpRanks, InstanceSample, ObliviousPoissonSampler, PoissonSketch,
     PpsPoissonSampler, PpsRanks, SamplingScheme, SeedAssignment, Sketch, VarOptScheme,
 };
 use pie_store::{snapshot_from_slice, snapshot_to_vec, StoreError};
@@ -75,6 +75,42 @@ fn assert_roundtrip_bitwise<S: SamplingScheme>(
     );
 }
 
+/// A Poisson scheme whose sketches are wrapped in [`PoissonSketch`], the
+/// sketch type of a sampling regime chosen at run time.
+struct Wrapped<S: SamplingScheme>(S, fn(S::Sketch) -> PoissonSketch);
+
+impl<S: SamplingScheme> SamplingScheme for Wrapped<S> {
+    type Sketch = PoissonSketch;
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn sketch(&self, seeds: &SeedAssignment, instance_index: u64) -> PoissonSketch {
+        (self.1)(self.0.sketch(seeds, instance_index))
+    }
+}
+
+/// Asserts that a [`PoissonSketch`] encodes to exactly the bytes of the
+/// sketch it wraps and decodes from them, so snapshot files written with the
+/// concrete sketch types load into the wrapper.
+fn assert_wrapper_bytes_identical<S: SamplingScheme>(
+    wrapped: &Wrapped<S>,
+    recs: &[(u64, f64)],
+    seeds: &SeedAssignment,
+) where
+    S::Sketch: pie_store::Encode,
+{
+    let mut sketch = wrapped.0.sketch(seeds, 0);
+    for &(k, v) in recs {
+        sketch.ingest(k, v);
+    }
+    let concrete = snapshot_to_vec(&sketch).unwrap();
+    assert_eq!(snapshot_to_vec(&(wrapped.1)(sketch)).unwrap(), concrete);
+    let decoded: PoissonSketch = snapshot_from_slice(&concrete).unwrap();
+    assert_eq!(snapshot_to_vec(&decoded).unwrap(), concrete);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -84,6 +120,9 @@ proptest! {
         let split = ((n as f64) * split_frac) as usize;
         let seeds = SeedAssignment::independent_known(salt);
         assert_roundtrip_bitwise(&ObliviousPoissonSampler::new(p), &recs, shards, split, &seeds);
+        let wrapped = Wrapped(ObliviousPoissonSampler::new(p), PoissonSketch::Oblivious);
+        assert_roundtrip_bitwise(&wrapped, &recs, shards, split, &seeds);
+        assert_wrapper_bytes_identical(&wrapped, &recs, &seeds);
     }
 
     #[test]
@@ -92,6 +131,9 @@ proptest! {
         let split = ((n as f64) * split_frac) as usize;
         let seeds = SeedAssignment::independent_known(salt.wrapping_add(7));
         assert_roundtrip_bitwise(&PpsPoissonSampler::new(tau), &recs, shards, split, &seeds);
+        let wrapped = Wrapped(PpsPoissonSampler::new(tau), PoissonSketch::Pps);
+        assert_roundtrip_bitwise(&wrapped, &recs, shards, split, &seeds);
+        assert_wrapper_bytes_identical(&wrapped, &recs, &seeds);
     }
 
     #[test]
@@ -204,6 +246,24 @@ fn cross_family_snapshots_are_rejected_with_typed_tags() {
     assert!(matches!(err, StoreError::InvalidTag { .. }), "{err}");
     let err = snapshot_from_slice::<pie_sampling::VarOptSketch>(&bytes).unwrap_err();
     assert!(matches!(err, StoreError::InvalidTag { .. }), "{err}");
+}
+
+#[test]
+fn poisson_sketch_rejects_non_poisson_families() {
+    let seeds = SeedAssignment::independent_known(2);
+    let sketch = BottomKSampler::new(PpsRanks, 8).sketch(&seeds, 0);
+    let bytes = snapshot_to_vec(&sketch).unwrap();
+    let err = snapshot_from_slice::<PoissonSketch>(&bytes).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            StoreError::InvalidTag {
+                what: "PoissonSketch",
+                ..
+            }
+        ),
+        "{err}"
+    );
 }
 
 #[test]

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use partial_info_estimators::{CatalogEntry, CatalogError, PipelineReport, Scheme};
+use partial_info_estimators::{CatalogEntry, CatalogError, PipelineReport};
 use pie_datagen::Dataset;
 use pie_sampling::hash::mix64;
 use pie_sampling::Instance;
@@ -203,9 +203,7 @@ impl SketchCatalog {
         last: bool,
     ) -> Result<(u64, bool), ServeError> {
         if let Some(detail) = invalid_config(&config) {
-            return Err(ServeError::InvalidConfig {
-                detail: detail.to_string(),
-            });
+            return Err(ServeError::InvalidConfig { detail });
         }
         for r in records {
             if !(r.value.is_finite() && r.value >= 0.0) {
@@ -348,7 +346,7 @@ impl SketchCatalog {
     }
 
     /// Answers one estimation query: resolves the sketch, then the suite
-    /// and statistic names, and runs the shared estimation cores on one
+    /// and statistic names, and runs the shared estimation core on one
     /// engine thread (concurrency comes from the connections, and thread
     /// count never changes the report).
     ///
@@ -387,26 +385,21 @@ pub(crate) fn map_catalog_error(estimator: &str, e: CatalogError) -> ServeError 
     }
 }
 
-/// Why a wire configuration is unacceptable, if it is — scheme parameters
-/// out of range (the same bounds `CatalogEntry::build` enforces, checked
-/// eagerly so a building slot can always finalize later) or resource
-/// requests above the serving caps (the peer is untrusted; an unbounded
-/// trial or shard count is a denial-of-service lever, not a workload).
-fn invalid_config(config: &SketchConfig) -> Option<&'static str> {
-    match config.scheme {
-        Scheme::ObliviousPoisson { p } if !(p > 0.0 && p <= 1.0) => {
-            return Some("sampling probability must lie in (0, 1]")
-        }
-        Scheme::PpsPoisson { tau_star } if !(tau_star > 0.0 && tau_star.is_finite()) => {
-            return Some("tau_star must be positive and finite")
-        }
-        _ => {}
+/// Why a wire configuration is unacceptable, if it is — an invalid scheme
+/// parameter or trial count (`Scheme::validate`, the check
+/// `CatalogEntry::build` runs, made eagerly so a building slot can always
+/// finalize later) or resource requests above the serving caps (the peer is
+/// untrusted; an unbounded trial or shard count is a denial-of-service
+/// lever, not a workload).
+fn invalid_config(config: &SketchConfig) -> Option<String> {
+    if let Err(e) = config.scheme.validate(config.trials) {
+        return Some(e.to_string());
     }
     if config.trials > MAX_TRIALS {
-        return Some("trial count exceeds the serving limit");
+        return Some("trial count exceeds the serving limit".to_string());
     }
     if config.shards > MAX_SHARDS {
-        return Some("shard count exceeds the serving limit");
+        return Some("shard count exceeds the serving limit".to_string());
     }
     None
 }
@@ -633,6 +626,25 @@ mod tests {
             .ingest("s", maxed, &records_of(&data), true)
             .unwrap();
         assert!(catalog.get("s").is_ok());
+    }
+
+    #[test]
+    fn zero_trial_ingest_batch_is_refused_over_the_wire() {
+        let server = crate::Server::bind("127.0.0.1:0").unwrap();
+        let mut client = crate::ServeClient::connect(server.local_addr()).unwrap();
+        let data = paper_example().take_instances(2);
+        let mut zero = config();
+        zero.scheme = Scheme::pps(5.0);
+        zero.trials = 0;
+        let err = client
+            .ingest_batch("s", zero, records_of(&data), true)
+            .unwrap_err();
+        assert!(
+            matches!(&err, ServeError::InvalidConfig { detail } if detail.contains("trial")),
+            "{err}"
+        );
+        assert!(client.list_catalog().unwrap().is_empty());
+        server.shutdown();
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! identity), `BatchEstimate { sketch, queries }` (many combinations from
 //! one shared replay), and `Stats` (cache/queue/tenant observability).
 //! Estimation dispatches through the existing `EstimatorRegistry` suites
-//! and the shared estimation cores, so a served report is
+//! and the shared estimation core, so a served report is
 //! **bit-identical** to running `Pipeline` / `StreamPipeline` in-process
 //! on the same configuration — moving estimation behind the wire changes
 //! where it runs, not what it returns.  Every estimation request passes

@@ -15,17 +15,15 @@
 //! * **persisted whole** — [`CatalogEntry::save`] / [`CatalogEntry::load`]
 //!   write one versioned, checksummed `pie-store` snapshot file, so a
 //!   serving process can load sketch state produced elsewhere;
-//! * **queried many times** — [`CatalogEntry::estimate`] runs any
-//!   estimator registry and statistic over the *same* estimation cores the
-//!   live pipelines use, so a served answer is **bit-identical** to what
+//! * **queried many times, by name** — [`CatalogEntry::estimate_named`] and
+//!   [`CatalogEntry::estimate_batch_named`] resolve estimator suites
+//!   ([`pie_core::suite`]) and statistics ([`Statistic::by_name`]) from
+//!   strings and run them over the *same* estimation core the live
+//!   pipelines use, so a served answer is **bit-identical** to what
 //!   [`Pipeline`](crate::Pipeline) / [`StreamPipeline`] would have produced
-//!   in-process on the same configuration;
-//! * **addressable by name** — [`CatalogEntry::estimate_named`] resolves
-//!   estimator suites ([`pie_core::suite`]) and statistics
-//!   ([`Statistic::by_name`]) from strings, returning typed
-//!   [`CatalogError`]s for unknown names, regime mismatches, and
-//!   arity/domain violations instead of panicking — the contract a network
-//!   service needs.
+//!   in-process on the same configuration.  Unknown names, regime
+//!   mismatches, and arity/domain violations are typed [`CatalogError`]s
+//!   instead of panics — the contract a network service needs.
 //!
 //! [`StreamIngestSession::finish_into_catalog`]:
 //! crate::StreamIngestSession::finish_into_catalog
@@ -53,13 +51,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pie_core::suite::{oblivious_suite_by_name, suite_regime, weighted_suite_by_name, SuiteRegime};
-use pie_datagen::{Dataset, ShardedStream};
-use pie_sampling::{InstanceSample, ObliviousPoissonSampler, PpsPoissonSampler, SeedAssignment};
+use pie_datagen::Dataset;
+use pie_sampling::{InstanceSample, SeedAssignment};
 use pie_store::{Decode, Encode, StoreError};
 
 use crate::pipeline::{
-    run_oblivious_multi_with, run_oblivious_with, run_pps_multi_with, run_pps_with,
-    validate_scheme, EstimatorSet, PipelineError, PipelineReport, Scheme, Statistic, TrialPlan,
+    estimate, EstimatorSet, PipelineError, PipelineReport, Scheme, Statistic, TrialPlan,
 };
 use crate::stream::{ingest_merge_finalize, sketch_pools};
 
@@ -205,7 +202,8 @@ impl CatalogEntry {
     /// pipelines on the same configuration.
     ///
     /// # Errors
-    /// [`PipelineError::InvalidScheme`] for out-of-range scheme parameters.
+    /// [`PipelineError::InvalidScheme`] for out-of-range scheme parameters,
+    /// [`PipelineError::ZeroTrials`] for `trials == 0`.
     pub fn build(
         dataset: impl Into<Arc<Dataset>>,
         scheme: Scheme,
@@ -213,32 +211,15 @@ impl CatalogEntry {
         trials: u64,
         base_salt: u64,
     ) -> Result<Self, PipelineError> {
-        validate_scheme(scheme)?;
+        scheme.validate(trials)?;
         let dataset = dataset.into();
         let shards = shards.max(1);
-        let seeds0 = SeedAssignment::independent_known(base_salt);
-        let samples = match scheme {
-            Scheme::ObliviousPoisson { p } => {
-                let stream = ShardedStream::over_universe(&dataset, shards);
-                let mut pools = sketch_pools(&ObliviousPoissonSampler::new(p), &stream, &seeds0);
-                (0..trials)
-                    .map(|t| {
-                        let seeds = SeedAssignment::independent_known(base_salt.wrapping_add(t));
-                        ingest_merge_finalize(&stream, &mut pools, &seeds)
-                    })
-                    .collect()
-            }
-            Scheme::PpsPoisson { tau_star } => {
-                let stream = ShardedStream::from_dataset(&dataset, shards);
-                let mut pools = sketch_pools(&PpsPoissonSampler::new(tau_star), &stream, &seeds0);
-                (0..trials)
-                    .map(|t| {
-                        let seeds = SeedAssignment::independent_known(base_salt.wrapping_add(t));
-                        ingest_merge_finalize(&stream, &mut pools, &seeds)
-                    })
-                    .collect()
-            }
-        };
+        let stream = scheme.stream(&dataset, shards);
+        let seeds = |t: u64| SeedAssignment::independent_known(base_salt.wrapping_add(t));
+        let mut pools = sketch_pools(&scheme, &stream, &seeds(0));
+        let samples = (0..trials)
+            .map(|t| ingest_merge_finalize(&stream, &mut pools, &seeds(t)))
+            .collect();
         Ok(Self::from_parts(
             dataset, scheme, shards, trials, base_salt, samples,
         ))
@@ -370,107 +351,20 @@ impl CatalogEntry {
             (Scheme::ObliviousPoisson { p }, SuiteRegime::Oblivious) => {
                 arity(2, name != "max_oblivious_uniform")?;
                 binary(name == "or_oblivious")?;
-                Ok(EstimatorSet::Oblivious(
-                    oblivious_suite_by_name(name, r, p).expect("regime-checked suite name"),
-                ))
+                Ok(oblivious_suite_by_name(name, r, p)
+                    .expect("regime-checked suite name")
+                    .into())
             }
             (Scheme::PpsPoisson { .. }, SuiteRegime::Weighted) => {
                 arity(2, true)?;
                 binary(name == "or_weighted")?;
-                Ok(EstimatorSet::Weighted(
-                    weighted_suite_by_name(name).expect("regime-checked suite name"),
-                ))
+                Ok(weighted_suite_by_name(name)
+                    .expect("regime-checked suite name")
+                    .into())
             }
             _ => Err(CatalogError::RegimeMismatch {
                 suite: name.to_string(),
                 scheme: format!("{:?}", self.scheme),
-            }),
-        }
-    }
-
-    /// Runs `estimators` and `statistic` over the entry's finalized samples
-    /// through the shared estimation cores — bit-identical to
-    /// [`Pipeline::run`](crate::Pipeline::run) /
-    /// [`StreamPipeline::run`](crate::StreamPipeline::run) on the same
-    /// configuration, at any thread count.
-    ///
-    /// # Errors
-    /// [`PipelineError::MissingEstimators`] for an empty registry,
-    /// [`PipelineError::RegimeMismatch`] if the registry's outcome regime
-    /// does not match the entry's scheme.
-    pub fn estimate(
-        &self,
-        estimators: impl Into<EstimatorSet>,
-        statistic: Statistic,
-    ) -> Result<PipelineReport, PipelineError> {
-        self.estimate_with(estimators, statistic, None)
-    }
-
-    /// [`estimate`](Self::estimate) with an explicit trial-engine thread
-    /// count (`None` = `PIE_THREADS` / available parallelism).  A serving
-    /// process typically pins queries to one thread each and lets
-    /// concurrency come from the connections.
-    ///
-    /// # Errors
-    /// As [`estimate`](Self::estimate).
-    pub fn estimate_with(
-        &self,
-        estimators: impl Into<EstimatorSet>,
-        statistic: Statistic,
-        threads: Option<usize>,
-    ) -> Result<PipelineReport, PipelineError> {
-        self.estimate_with_observed(
-            estimators,
-            statistic,
-            threads,
-            crate::obs::PipelineObserver::disabled(),
-        )
-    }
-
-    /// [`estimate_with`](Self::estimate_with) under an observation hook:
-    /// `observer` collects per-stage wall-clock totals (trial replay vs
-    /// estimator batch) and optional per-chunk timings.  Observation never
-    /// changes the report — it is **bit-identical** to the unobserved call.
-    ///
-    /// # Errors
-    /// As [`estimate`](Self::estimate).
-    pub fn estimate_with_observed(
-        &self,
-        estimators: impl Into<EstimatorSet>,
-        statistic: Statistic,
-        threads: Option<usize>,
-        observer: crate::obs::PipelineObserver,
-    ) -> Result<PipelineReport, PipelineError> {
-        let estimators = estimators.into();
-        if estimators.len() == 0 {
-            return Err(PipelineError::MissingEstimators);
-        }
-        let plan = TrialPlan::new(self.trials, self.base_salt, threads).with_observer(observer);
-        let samples = &self.samples;
-        match (self.scheme, estimators) {
-            (Scheme::ObliviousPoisson { .. }, EstimatorSet::Oblivious(registry)) => Ok(
-                // Borrow the finalized samples: the serving hot path must
-                // not deep-copy every trial's entries per query.
-                run_oblivious_with(&self.dataset, &registry, &statistic, &plan, |_worker| {
-                    move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice()
-                }),
-            ),
-            (Scheme::PpsPoisson { tau_star }, EstimatorSet::Weighted(registry)) => {
-                Ok(run_pps_with(
-                    &self.dataset,
-                    tau_star,
-                    &registry,
-                    &statistic,
-                    &plan,
-                    |_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice(),
-                ))
-            }
-            (scheme, estimators) => Err(PipelineError::RegimeMismatch {
-                scheme: format!("{scheme:?}"),
-                estimators: match estimators {
-                    EstimatorSet::Oblivious(_) => "weight-oblivious",
-                    EstimatorSet::Weighted(_) => "weighted",
-                },
             }),
         }
     }
@@ -497,8 +391,10 @@ impl CatalogEntry {
     }
 
     /// [`estimate_named`](Self::estimate_named) under an observation hook —
-    /// the serving layer's tracing path.  The report is bit-identical to
-    /// the unobserved call.
+    /// the serving layer's tracing path: `observer` collects per-stage
+    /// wall-clock totals (trial replay vs estimator batch) and optional
+    /// per-chunk timings.  The report is bit-identical to the unobserved
+    /// call.
     ///
     /// # Errors
     /// As [`estimate_named`](Self::estimate_named).
@@ -509,12 +405,9 @@ impl CatalogEntry {
         threads: Option<usize>,
         observer: crate::obs::PipelineObserver,
     ) -> Result<PipelineReport, CatalogError> {
-        let estimators = self.suite(suite)?;
-        let statistic =
-            Statistic::by_name(statistic).ok_or_else(|| CatalogError::UnknownStatistic {
-                name: statistic.to_string(),
-            })?;
-        Ok(self.estimate_with_observed(estimators, statistic, threads, observer)?)
+        let mut reports =
+            self.estimate_batch_named_observed(&[(suite, statistic)], threads, observer)?;
+        Ok(reports.pop().expect("one query in, one report out"))
     }
 
     /// Answers many `(suite, statistic)` queries from **one** replay over
@@ -594,46 +487,17 @@ impl CatalogEntry {
             return Ok(Vec::new());
         }
         let plan = TrialPlan::new(self.trials, self.base_salt, threads).with_observer(observer);
+        let combos: Vec<_> = resolved.iter().map(|(set, stat)| (set, stat)).collect();
         let samples = &self.samples;
-        // `suite()` regime-checks every set against this entry's scheme, so
-        // the sets are homogeneous and match the arm we dispatch to.
-        match self.scheme {
-            Scheme::ObliviousPoisson { .. } => {
-                let combos: Vec<_> = resolved
-                    .iter()
-                    .map(|(set, statistic)| match set {
-                        EstimatorSet::Oblivious(registry) => (registry, statistic),
-                        EstimatorSet::Weighted(_) => {
-                            unreachable!("suite() regime-checks against the scheme")
-                        }
-                    })
-                    .collect();
-                Ok(run_oblivious_multi_with(
-                    &self.dataset,
-                    &combos,
-                    &plan,
-                    |_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice(),
-                ))
-            }
-            Scheme::PpsPoisson { tau_star } => {
-                let combos: Vec<_> = resolved
-                    .iter()
-                    .map(|(set, statistic)| match set {
-                        EstimatorSet::Weighted(registry) => (registry, statistic),
-                        EstimatorSet::Oblivious(_) => {
-                            unreachable!("suite() regime-checks against the scheme")
-                        }
-                    })
-                    .collect();
-                Ok(run_pps_multi_with(
-                    &self.dataset,
-                    tau_star,
-                    &combos,
-                    &plan,
-                    |_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice(),
-                ))
-            }
-        }
+        // Borrow the finalized samples: the serving hot path must not
+        // deep-copy every trial's entries per query.
+        Ok(estimate(
+            &self.dataset,
+            self.scheme,
+            &combos,
+            &plan,
+            |_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice(),
+        )?)
     }
 
     /// Persists the entry as one versioned, checksummed snapshot file.
@@ -678,6 +542,11 @@ impl Decode for CatalogEntry {
                 what: "CatalogEntry shard count must be at least 1",
             });
         }
+        if trials == 0 {
+            return Err(StoreError::InvalidValue {
+                what: "CatalogEntry trial count must be at least 1",
+            });
+        }
         if samples.len() as u64 != trials {
             return Err(StoreError::InvalidValue {
                 what: "CatalogEntry must hold exactly one sample set per trial",
@@ -699,7 +568,6 @@ impl Decode for CatalogEntry {
 mod tests {
     use super::*;
     use crate::{Pipeline, StreamPipeline};
-    use pie_core::suite::max_oblivious_suite;
     use pie_datagen::{
         generate_set_pair, generate_two_hours, paper_example, SetPairConfig, TrafficConfig,
     };
@@ -750,7 +618,7 @@ mod tests {
                 .estimate_named("max_oblivious", "max_dominance", Some(1))
                 .unwrap(),
             entry
-                .estimate(max_oblivious_suite(0.5, 0.5), Statistic::max_dominance())
+                .estimate_named("max_oblivious", "max_dominance", None)
                 .unwrap()
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -813,6 +681,23 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(report, expected);
+    }
+
+    #[test]
+    fn zero_trials_are_rejected_at_build_and_decode() {
+        let data = Arc::new(paper_example().take_instances(2));
+        let err = CatalogEntry::build(Arc::clone(&data), Scheme::pps(5.0), 1, 0, 0).unwrap_err();
+        assert_eq!(err, PipelineError::ZeroTrials);
+        // A zero-trial entry on disk (zero trials, zero sample sets) is
+        // refused rather than served.
+        let mut empty = CatalogEntry::build(data, Scheme::pps(5.0), 1, 1, 0).unwrap();
+        empty.trials = 0;
+        empty.samples.clear();
+        let bytes = pie_store::encode_to_vec(&empty).unwrap();
+        assert!(matches!(
+            pie_store::decode_from_slice::<CatalogEntry>(&bytes).unwrap_err(),
+            StoreError::InvalidValue { .. }
+        ));
     }
 
     #[test]

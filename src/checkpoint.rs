@@ -65,20 +65,13 @@ use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
-use std::sync::Arc;
 
-use pie_datagen::{Dataset, ShardedStream};
-use pie_sampling::{
-    InstanceSample, Key, ObliviousPoissonSampler, PpsPoissonSampler, SamplingScheme,
-    SeedAssignment, Sketch,
-};
+use pie_datagen::ShardedStream;
+use pie_sampling::{InstanceSample, PoissonSketch, SamplingScheme, SeedAssignment, Sketch};
 use pie_store::{Decode, Encode, SnapshotReader, SnapshotWriter, StoreError};
 
-use crate::pipeline::{
-    run_oblivious_with, run_pps_with, validate_scheme, EstimatorSet, PipelineError, PipelineReport,
-    Scheme, Statistic, TrialPlan,
-};
-use crate::stream::{merge_finalize, StreamPipeline};
+use crate::pipeline::{PipelineError, PipelineReport, Scheme, Stages};
+use crate::stream::{merge_finalize, sketch_pools, StreamPipeline};
 
 /// The checkpoint manifest's file name inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "manifest.pies";
@@ -264,11 +257,7 @@ impl SnapshotManifest {
     /// Checks every experiment parameter against a validated configuration,
     /// returning a [`StoreError::ManifestMismatch`] naming the first field
     /// that disagrees.
-    fn check_against(
-        &self,
-        config: &ValidatedConfig,
-        stream: &ShardedStream,
-    ) -> Result<(), StoreError> {
+    fn check_against(&self, config: &Stages, stream: &ShardedStream) -> Result<(), StoreError> {
         let mismatch = |field: &'static str, expected: String, found: String| {
             Err(StoreError::ManifestMismatch {
                 field,
@@ -283,8 +272,12 @@ impl SnapshotManifest {
                 format!("{:?}", self.scheme),
             );
         }
-        if self.shards != config.shards as u64 {
-            return mismatch("shards", config.shards.to_string(), self.shards.to_string());
+        if self.shards != stream.shards() as u64 {
+            return mismatch(
+                "shards",
+                stream.shards().to_string(),
+                self.shards.to_string(),
+            );
         }
         if self.trials != config.trials {
             return mismatch("trials", config.trials.to_string(), self.trials.to_string());
@@ -314,149 +307,33 @@ impl SnapshotManifest {
     }
 }
 
-/// A [`StreamPipeline`] whose stages have all been supplied and validated,
-/// destructured into owned parts the session can hold on to.
-struct ValidatedConfig {
-    dataset: Arc<Dataset>,
-    scheme: Scheme,
-    shards: usize,
-    estimators: EstimatorSet,
-    statistic: Statistic,
-    trials: u64,
-    base_salt: u64,
-    threads: Option<usize>,
-}
-
-impl ValidatedConfig {
+impl Stages {
     fn manifest(&self, kind: SnapshotKind, stream: &ShardedStream) -> SnapshotManifest {
         SnapshotManifest {
             kind,
             scheme: self.scheme,
-            shards: self.shards as u64,
+            shards: stream.shards() as u64,
             trials: self.trials,
             base_salt: self.base_salt,
             num_instances: stream.num_instances() as u64,
             num_records: stream.num_records() as u64,
         }
     }
-}
 
-/// Validates a builder's stages (same rules as [`StreamPipeline::run`]) and
-/// partitions the record stream.
-fn validate_pipeline(
-    pipeline: StreamPipeline,
-) -> Result<(ValidatedConfig, ShardedStream), PipelineError> {
-    let dataset = pipeline.dataset.ok_or(PipelineError::MissingDataset)?;
-    let scheme = pipeline.scheme.ok_or(PipelineError::MissingScheme)?;
-    let estimators = pipeline
-        .estimators
-        .ok_or(PipelineError::MissingEstimators)?;
-    let statistic = pipeline.statistic.ok_or(PipelineError::MissingStatistic)?;
-    if estimators.len() == 0 {
-        return Err(PipelineError::MissingEstimators);
+    /// The seeds of trial `t`: the live trial loop's `base_salt + t`.
+    fn trial_seeds(&self, t: u64) -> SeedAssignment {
+        SeedAssignment::independent_known(self.base_salt.wrapping_add(t))
     }
-    validate_scheme(scheme)?;
-    match (scheme, &estimators) {
-        (Scheme::ObliviousPoisson { .. }, EstimatorSet::Oblivious(_))
-        | (Scheme::PpsPoisson { .. }, EstimatorSet::Weighted(_)) => {}
-        (scheme, estimators) => {
-            return Err(PipelineError::RegimeMismatch {
-                scheme: format!("{scheme:?}"),
-                estimators: match estimators {
-                    EstimatorSet::Oblivious(_) => "weight-oblivious",
-                    EstimatorSet::Weighted(_) => "weighted",
-                },
-            })
-        }
+
+    /// Runs the shared estimation stage over precomputed per-trial samples —
+    /// the same core (and the same parallel trial engine) the live pipelines
+    /// use, so downstream numbers cannot drift between the paths.
+    fn estimate_from(
+        &self,
+        samples: &[Vec<InstanceSample>],
+    ) -> Result<PipelineReport, PipelineError> {
+        self.estimate(|_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice())
     }
-    let stream = match scheme {
-        // Weight-oblivious sampling runs over the key universe (zero-valued
-        // keys participate); weighted schemes over the explicit records.
-        Scheme::ObliviousPoisson { .. } => ShardedStream::over_universe(&dataset, pipeline.shards),
-        Scheme::PpsPoisson { .. } => ShardedStream::from_dataset(&dataset, pipeline.shards),
-    };
-    Ok((
-        ValidatedConfig {
-            dataset,
-            scheme,
-            shards: pipeline.shards,
-            estimators,
-            statistic,
-            trials: pipeline.trials,
-            base_salt: pipeline.base_salt,
-            threads: pipeline.threads,
-        },
-        stream,
-    ))
-}
-
-/// One sketch per `(trial, shard, instance)`, laid out `[trial][shard]
-/// [instance]` so each trial's slice is exactly the `pools[shard][instance]`
-/// shape [`merge_finalize`] consumes.
-enum TrialSketches {
-    /// Weight-oblivious Poisson sketches.
-    Oblivious(Vec<Vec<Vec<pie_sampling::ObliviousPoissonSketch>>>),
-    /// Weighted PPS Poisson sketches.
-    Pps(Vec<Vec<Vec<pie_sampling::PpsPoissonSketch>>>),
-}
-
-impl TrialSketches {
-    /// Routes one record into every trial's `(shard, instance)` sketch.
-    fn ingest(&mut self, shard: usize, instance: usize, key: Key, value: f64) {
-        match self {
-            Self::Oblivious(pools) => {
-                for trial in pools.iter_mut() {
-                    trial[shard][instance].ingest(key, value);
-                }
-            }
-            Self::Pps(pools) => {
-                for trial in pools.iter_mut() {
-                    trial[shard][instance].ingest(key, value);
-                }
-            }
-        }
-    }
-}
-
-/// Opens one sketch per `(trial, shard, instance)`; trial `t` draws its
-/// seeds from `base_salt + t`, exactly as the live trial loop does.
-fn new_trial_pools<S: SamplingScheme>(
-    scheme: &S,
-    stream: &ShardedStream,
-    trials: u64,
-    base_salt: u64,
-) -> Vec<Vec<Vec<S::Sketch>>> {
-    (0..trials)
-        .map(|t| {
-            let seeds = SeedAssignment::independent_known(base_salt.wrapping_add(t));
-            (0..stream.shards())
-                .map(|s| {
-                    (0..stream.num_instances())
-                        .map(|i| scheme.sketch_for_shard(&seeds, i as u64, s as u64))
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Opens one sketch per `(trial, instance)` for a single shard column —
-/// what a shard-export worker needs, without allocating the other columns.
-fn new_trial_column<S: SamplingScheme>(
-    scheme: &S,
-    stream: &ShardedStream,
-    trials: u64,
-    base_salt: u64,
-    shard: usize,
-) -> Vec<Vec<S::Sketch>> {
-    (0..trials)
-        .map(|t| {
-            let seeds = SeedAssignment::independent_known(base_salt.wrapping_add(t));
-            (0..stream.num_instances())
-                .map(|i| scheme.sketch_for_shard(&seeds, i as u64, shard as u64))
-                .collect()
-        })
-        .collect()
 }
 
 /// Writes one `(instance, shard)` part file: a frame holding the trial
@@ -467,10 +344,10 @@ fn new_trial_column<S: SamplingScheme>(
 /// and some part files leaves stamps that disagree with the manifest, which
 /// [`read_part_file`] turns into a typed error instead of a silently wrong
 /// resume.
-fn write_part_file<'a, K: Sketch + Encode + 'a>(
+fn write_part_file<'a>(
     path: &Path,
     stamp: u64,
-    sketches: impl ExactSizeIterator<Item = &'a K>,
+    sketches: impl ExactSizeIterator<Item = &'a PoissonSketch>,
 ) -> Result<(), StoreError> {
     let mut writer = SnapshotWriter::new(BufWriter::new(File::create(path)?));
     writer.write(&(sketches.len() as u64))?;
@@ -482,8 +359,18 @@ fn write_part_file<'a, K: Sketch + Encode + 'a>(
     Ok(())
 }
 
-/// Reads one part file back, validating the per-file trial count and stamp.
-fn read_part_file<K: Decode>(path: &Path, trials: u64, stamp: u64) -> Result<Vec<K>, StoreError> {
+/// Reads instance `instance`'s part file back, validating the per-file
+/// trial count and stamp, and that every sketch was opened for its slot:
+/// this configuration's scheme, the instance, and its trial's seeds.  A
+/// part file copied in from another run is a typed error, never a sketch
+/// that panics the merge or silently skews it.
+fn read_part_file(
+    path: &Path,
+    config: &Stages,
+    instance: usize,
+    stamp: u64,
+) -> Result<Vec<PoissonSketch>, StoreError> {
+    let trials = config.trials;
     let mut reader = SnapshotReader::new(BufReader::new(File::open(path)?))?;
     let found: u64 = reader.read()?;
     if found != trials {
@@ -502,18 +389,30 @@ fn read_part_file<K: Decode>(path: &Path, trials: u64, stamp: u64) -> Result<Vec
         });
     }
     let mut sketches = Vec::with_capacity(usize::try_from(trials).unwrap_or(0).min(1 << 16));
-    for _ in 0..trials {
-        sketches.push(reader.read()?);
+    for t in 0..trials {
+        let sketch: PoissonSketch = reader.read()?;
+        let slot = config
+            .scheme
+            .sketch(&config.trial_seeds(t), instance as u64)
+            .slot();
+        if sketch.slot() != slot {
+            return Err(StoreError::ManifestMismatch {
+                field: "sketch slot (scheme, instance, seeds) in part file",
+                expected: format!("{slot:?}"),
+                found: format!("{:?}", sketch.slot()),
+            });
+        }
+        sketches.push(sketch);
     }
     reader.finish()?;
     Ok(sketches)
 }
 
 /// Writes every part file of the full `[trial][shard][instance]` layout.
-fn write_parts<K: Sketch + Encode>(
+fn write_parts(
     dir: &Path,
     stamp: u64,
-    pools: &[Vec<Vec<K>>],
+    pools: &[Vec<Vec<PoissonSketch>>],
     stream: &ShardedStream,
 ) -> Result<(), StoreError> {
     for s in 0..stream.shards() {
@@ -531,16 +430,16 @@ fn write_parts<K: Sketch + Encode>(
 /// Loads the full `[trial][shard][instance]` sketch layout from a snapshot
 /// directory containing every `(instance, shard)` part file; `stamp_of`
 /// gives the stamp each shard's files must carry.
-fn load_trial_pools<K: Sketch + Decode>(
+fn load_trial_pools(
     dir: &Path,
+    config: &Stages,
     stream: &ShardedStream,
-    trials: u64,
     stamp_of: impl Fn(usize) -> u64,
-) -> Result<Vec<Vec<Vec<K>>>, StoreError> {
-    let trial_count = usize::try_from(trials).map_err(|_| StoreError::InvalidValue {
+) -> Result<Vec<Vec<Vec<PoissonSketch>>>, StoreError> {
+    let trial_count = usize::try_from(config.trials).map_err(|_| StoreError::InvalidValue {
         what: "trial count does not fit in usize",
     })?;
-    let mut pools: Vec<Vec<Vec<K>>> = (0..trial_count)
+    let mut pools: Vec<Vec<Vec<PoissonSketch>>> = (0..trial_count)
         .map(|_| {
             (0..stream.shards())
                 .map(|_| Vec::with_capacity(stream.num_instances()))
@@ -552,9 +451,11 @@ fn load_trial_pools<K: Sketch + Decode>(
         // the clearest shape here.
         #[allow(clippy::needless_range_loop)]
         for s in 0..stream.shards() {
-            let sketches: Vec<K> =
-                read_part_file(&dir.join(part_file_name(i, s)), trials, stamp_of(s))?;
-            for (t, sketch) in sketches.into_iter().enumerate() {
+            let path = dir.join(part_file_name(i, s));
+            for (t, sketch) in read_part_file(&path, config, i, stamp_of(s))?
+                .into_iter()
+                .enumerate()
+            {
                 pools[t][s].push(sketch);
             }
         }
@@ -563,49 +464,11 @@ fn load_trial_pools<K: Sketch + Decode>(
 }
 
 /// Merges and finalizes each trial's sketches into its per-instance samples.
-fn samples_per_trial<K: Sketch>(mut pools: Vec<Vec<Vec<K>>>) -> Vec<Vec<InstanceSample>> {
+fn samples_per_trial(mut pools: Vec<Vec<Vec<PoissonSketch>>>) -> Vec<Vec<InstanceSample>> {
     pools
         .iter_mut()
         .map(|trial| merge_finalize(trial))
         .collect()
-}
-
-/// Runs the shared estimation stage over precomputed per-trial samples —
-/// the same cores (and the same parallel trial engine) the live pipelines
-/// use, so downstream numbers cannot drift between the paths.
-fn estimate_from_samples(
-    config: ValidatedConfig,
-    samples: Vec<Vec<InstanceSample>>,
-) -> Result<PipelineReport, CheckpointError> {
-    let plan = TrialPlan::new(config.trials, config.base_salt, config.threads);
-    let samples = &samples;
-    match (config.scheme, config.estimators) {
-        (Scheme::ObliviousPoisson { .. }, EstimatorSet::Oblivious(registry)) => {
-            Ok(run_oblivious_with(
-                &config.dataset,
-                &registry,
-                &config.statistic,
-                &plan,
-                |_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice(),
-            ))
-        }
-        (Scheme::PpsPoisson { tau_star }, EstimatorSet::Weighted(registry)) => Ok(run_pps_with(
-            &config.dataset,
-            tau_star,
-            &registry,
-            &config.statistic,
-            &plan,
-            |_worker| move |t, _seeds: &SeedAssignment| samples[t as usize].as_slice(),
-        )),
-        // validate_pipeline rejected mismatched regimes already.
-        (scheme, estimators) => Err(CheckpointError::Pipeline(PipelineError::RegimeMismatch {
-            scheme: format!("{scheme:?}"),
-            estimators: match estimators {
-                EstimatorSet::Oblivious(_) => "weight-oblivious",
-                EstimatorSet::Weighted(_) => "weighted",
-            },
-        })),
-    }
 }
 
 /// An incremental, checkpointable ingest pass over a [`StreamPipeline`]'s
@@ -620,9 +483,12 @@ fn estimate_from_samples(
 /// [`finish`](Self::finish) reproduces the live report bit for bit.
 #[must_use = "an ingest session does nothing until records are ingested"]
 pub struct StreamIngestSession {
-    config: ValidatedConfig,
+    config: Stages,
     stream: ShardedStream,
-    sketches: TrialSketches,
+    /// One sketch per `(trial, shard, instance)`, laid out `[trial][shard]
+    /// [instance]` so each trial's slice is exactly the
+    /// `pools[shard][instance]` shape [`merge_finalize`] consumes.
+    sketches: Vec<Vec<Vec<PoissonSketch>>>,
     watermark: u64,
     total: u64,
 }
@@ -631,7 +497,7 @@ impl fmt::Debug for StreamIngestSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamIngestSession")
             .field("scheme", &self.config.scheme)
-            .field("shards", &self.config.shards)
+            .field("shards", &self.stream.shards())
             .field("trials", &self.config.trials)
             .field("watermark", &self.watermark)
             .field("total", &self.total)
@@ -678,7 +544,9 @@ impl StreamIngestSession {
                     let from = self.watermark.max(cursor) - cursor;
                     let to = target.min(part_end) - cursor;
                     for &(key, value) in &part[from as usize..to as usize] {
-                        self.sketches.ingest(s, i, key, value);
+                        for trial in &mut self.sketches {
+                            trial[s][i].ingest(key, value);
+                        }
                     }
                 }
                 cursor = part_end;
@@ -719,14 +587,7 @@ impl StreamIngestSession {
         // manifest survives, so a torn checkpoint over an older one fails
         // resume with a typed stamp mismatch instead of silently mixing two
         // states.
-        match &self.sketches {
-            TrialSketches::Oblivious(pools) => {
-                write_parts(dir, self.watermark, pools, &self.stream)?;
-            }
-            TrialSketches::Pps(pools) => {
-                write_parts(dir, self.watermark, pools, &self.stream)?;
-            }
-        }
+        write_parts(dir, self.watermark, &self.sketches, &self.stream)?;
         let manifest = self.config.manifest(
             SnapshotKind::Checkpoint {
                 watermark: self.watermark,
@@ -745,17 +606,8 @@ impl StreamIngestSession {
     /// [`CheckpointError::Incomplete`] if records remain; estimation itself
     /// cannot fail once the configuration validated.
     pub fn finish(self) -> Result<PipelineReport, CheckpointError> {
-        if !self.is_complete() {
-            return Err(CheckpointError::Incomplete {
-                ingested: self.watermark,
-                total: self.total,
-            });
-        }
-        let samples = match self.sketches {
-            TrialSketches::Oblivious(pools) => samples_per_trial(pools),
-            TrialSketches::Pps(pools) => samples_per_trial(pools),
-        };
-        estimate_from_samples(self.config, samples)
+        let (config, samples) = self.into_samples()?;
+        Ok(config.estimate_from(&samples)?)
     }
 
     /// Merges and finalizes the per-trial samples into a servable
@@ -767,24 +619,28 @@ impl StreamIngestSession {
     /// # Errors
     /// [`CheckpointError::Incomplete`] if records remain.
     pub fn finish_into_catalog(self) -> Result<crate::CatalogEntry, CheckpointError> {
+        let shards = self.stream.shards();
+        let (config, samples) = self.into_samples()?;
+        Ok(crate::CatalogEntry::from_parts(
+            config.dataset,
+            config.scheme,
+            shards,
+            config.trials,
+            config.base_salt,
+            samples,
+        ))
+    }
+
+    /// Merges each trial's shard sketches and finalizes the per-instance
+    /// samples, once every record is ingested.
+    fn into_samples(self) -> Result<(Stages, Vec<Vec<InstanceSample>>), CheckpointError> {
         if !self.is_complete() {
             return Err(CheckpointError::Incomplete {
                 ingested: self.watermark,
                 total: self.total,
             });
         }
-        let samples = match self.sketches {
-            TrialSketches::Oblivious(pools) => samples_per_trial(pools),
-            TrialSketches::Pps(pools) => samples_per_trial(pools),
-        };
-        Ok(crate::CatalogEntry::from_parts(
-            self.config.dataset,
-            self.config.scheme,
-            self.config.shards,
-            self.config.trials,
-            self.config.base_salt,
-            samples,
-        ))
+        Ok((self.config, samples_per_trial(self.sketches)))
     }
 }
 
@@ -797,21 +653,11 @@ impl StreamPipeline {
     /// Returns a [`PipelineError`] (wrapped) if a stage is missing, a scheme
     /// parameter is out of range, or the estimator regime does not match.
     pub fn ingest_session(self) -> Result<StreamIngestSession, CheckpointError> {
-        let (config, stream) = validate_pipeline(self)?;
-        let sketches = match config.scheme {
-            Scheme::ObliviousPoisson { p } => TrialSketches::Oblivious(new_trial_pools(
-                &ObliviousPoissonSampler::new(p),
-                &stream,
-                config.trials,
-                config.base_salt,
-            )),
-            Scheme::PpsPoisson { tau_star } => TrialSketches::Pps(new_trial_pools(
-                &PpsPoissonSampler::new(tau_star),
-                &stream,
-                config.trials,
-                config.base_salt,
-            )),
-        };
+        let (config, stream) = self.validate()?;
+        // Trial `t` opens its sketches under the live trial loop's seeds.
+        let sketches = (0..config.trials)
+            .map(|t| sketch_pools(&config.scheme, &stream, &config.trial_seeds(t)))
+            .collect();
         let total = stream.num_records() as u64;
         Ok(StreamIngestSession {
             config,
@@ -834,7 +680,7 @@ impl StreamPipeline {
     /// Configuration, manifest, and snapshot-file failures.
     pub fn resume(self, dir: impl AsRef<Path>) -> Result<StreamIngestSession, CheckpointError> {
         let dir = dir.as_ref();
-        let (config, stream) = validate_pipeline(self)?;
+        let (config, stream) = self.validate()?;
         let manifest: SnapshotManifest = pie_store::read_snapshot_file(dir.join(MANIFEST_FILE))?;
         manifest.check_against(&config, &stream)?;
         let watermark = match manifest.kind {
@@ -854,18 +700,7 @@ impl StreamPipeline {
             }
             .into());
         }
-        let sketches = match config.scheme {
-            Scheme::ObliviousPoisson { .. } => {
-                TrialSketches::Oblivious(load_trial_pools(dir, &stream, config.trials, |_| {
-                    watermark
-                })?)
-            }
-            Scheme::PpsPoisson { .. } => {
-                TrialSketches::Pps(load_trial_pools(dir, &stream, config.trials, |_| {
-                    watermark
-                })?)
-            }
-        };
+        let sketches = load_trial_pools(dir, &config, &stream, |_| watermark)?;
         let total = stream.num_records() as u64;
         Ok(StreamIngestSession {
             config,
@@ -895,63 +730,40 @@ impl StreamPipeline {
         dir: impl AsRef<Path>,
     ) -> Result<(), CheckpointError> {
         let dir = dir.as_ref();
-        let (config, stream) = validate_pipeline(self)?;
-        if shard >= config.shards {
+        let (config, stream) = self.validate()?;
+        if shard >= stream.shards() {
             return Err(CheckpointError::ShardOutOfRange {
                 shard,
-                shards: config.shards,
+                shards: stream.shards(),
             });
         }
         std::fs::create_dir_all(dir).map_err(StoreError::Io)?;
-
-        /// Ingests one shard column for every `(trial, instance)` and
-        /// writes its part files, stamped with the shard index.
-        fn export_column<S: SamplingScheme>(
-            sampler: &S,
-            dir: &Path,
-            stream: &ShardedStream,
-            config: &ValidatedConfig,
-            shard: usize,
-        ) -> Result<(), StoreError>
-        where
-            S::Sketch: Encode,
-        {
-            // Only this worker's column is allocated — the other shards'
-            // sketches belong to other processes.
-            let mut column =
-                new_trial_column(sampler, stream, config.trials, config.base_salt, shard);
-            for trial in column.iter_mut() {
-                for (i, sketch) in trial.iter_mut().enumerate() {
-                    for &(key, value) in stream.part(i, shard) {
-                        sketch.ingest(key, value);
-                    }
-                }
-            }
-            for i in 0..stream.num_instances() {
-                write_part_file(
-                    &dir.join(part_file_name(i, shard)),
-                    shard as u64,
-                    column.iter().map(|trial| &trial[i]),
-                )?;
-            }
-            Ok(())
-        }
-
-        match config.scheme {
-            Scheme::ObliviousPoisson { p } => export_column(
-                &ObliviousPoissonSampler::new(p),
-                dir,
-                &stream,
-                &config,
-                shard,
-            )?,
-            Scheme::PpsPoisson { tau_star } => export_column(
-                &PpsPoissonSampler::new(tau_star),
-                dir,
-                &stream,
-                &config,
-                shard,
-            )?,
+        // Only this worker's column is allocated — the other shards'
+        // sketches belong to other processes.  `column[t][i]` is trial
+        // `t`'s sketch of instance `i`.
+        let column: Vec<Vec<PoissonSketch>> = (0..config.trials)
+            .map(|t| {
+                let seeds = config.trial_seeds(t);
+                (0..stream.num_instances())
+                    .map(|i| {
+                        let mut sketch =
+                            config
+                                .scheme
+                                .sketch_for_shard(&seeds, i as u64, shard as u64);
+                        for &(key, value) in stream.part(i, shard) {
+                            sketch.ingest(key, value);
+                        }
+                        sketch
+                    })
+                    .collect()
+            })
+            .collect();
+        for i in 0..stream.num_instances() {
+            write_part_file(
+                &dir.join(part_file_name(i, shard)),
+                shard as u64,
+                column.iter().map(|trial| &trial[i]),
+            )?;
         }
         // Manifest last: its presence signals the shard's part files are
         // complete, so a torn export is a missing-manifest error for the
@@ -983,8 +795,8 @@ impl StreamPipeline {
         dir: impl AsRef<Path>,
     ) -> Result<PipelineReport, CheckpointError> {
         let dir = dir.as_ref();
-        let (config, stream) = validate_pipeline(self)?;
-        for s in 0..config.shards {
+        let (config, stream) = self.validate()?;
+        for s in 0..stream.shards() {
             let manifest: SnapshotManifest =
                 pie_store::read_snapshot_file(dir.join(shard_manifest_name(s)))?;
             manifest.check_against(&config, &stream)?;
@@ -997,25 +809,8 @@ impl StreamPipeline {
                 .into());
             }
         }
-        let samples = match config.scheme {
-            Scheme::ObliviousPoisson { .. } => {
-                samples_per_trial(load_trial_pools::<pie_sampling::ObliviousPoissonSketch>(
-                    dir,
-                    &stream,
-                    config.trials,
-                    |s| s as u64,
-                )?)
-            }
-            Scheme::PpsPoisson { .. } => {
-                samples_per_trial(load_trial_pools::<pie_sampling::PpsPoissonSketch>(
-                    dir,
-                    &stream,
-                    config.trials,
-                    |s| s as u64,
-                )?)
-            }
-        };
-        estimate_from_samples(config, samples)
+        let samples = samples_per_trial(load_trial_pools(dir, &config, &stream, |s| s as u64)?);
+        Ok(config.estimate_from(&samples)?)
     }
 }
 
@@ -1024,9 +819,10 @@ mod tests {
     use super::*;
     use crate::Statistic;
     use pie_core::suite::{max_oblivious_suite, max_weighted_suite};
-    use pie_datagen::{generate_two_hours, paper_example, TrafficConfig};
+    use pie_datagen::{generate_two_hours, paper_example, Dataset, TrafficConfig};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// A unique, auto-created temp directory per test call site.
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1160,6 +956,67 @@ mod tests {
         std::fs::remove_dir_all(&new_dir).unwrap();
     }
 
+    /// Copies one part file from a directory written by `other` into one
+    /// written by `pps_pipeline(data, 2)` (stamps agree), and checks that
+    /// both resume and the shard merge refuse it with a typed error instead
+    /// of panicking in the merge.
+    fn assert_stale_part_is_rejected(data: &Arc<Dataset>, other: impl Fn() -> StreamPipeline) {
+        let stale_part = part_file_name(0, 1);
+        let assert_slot_mismatch = |err: CheckpointError| {
+            assert!(
+                matches!(
+                    &err,
+                    CheckpointError::Store(StoreError::ManifestMismatch { field, .. })
+                        if field.contains("slot")
+                ),
+                "{err}"
+            );
+        };
+
+        let (dir, other_dir) = (temp_dir("stale"), temp_dir("stale-other"));
+        for (pipeline, dir) in [(pps_pipeline(data, 2), &dir), (other(), &other_dir)] {
+            let mut session = pipeline.ingest_session().unwrap();
+            session.ingest_records(100);
+            session.checkpoint(dir).unwrap();
+        }
+        std::fs::copy(other_dir.join(&stale_part), dir.join(&stale_part)).unwrap();
+        assert_slot_mismatch(pps_pipeline(data, 2).resume(&dir).unwrap_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&other_dir).unwrap();
+
+        let (dir, other_dir) = (temp_dir("stale-export"), temp_dir("stale-export-other"));
+        for s in 0..2 {
+            pps_pipeline(data, 2)
+                .write_shard_snapshots(s, &dir)
+                .unwrap();
+            other().write_shard_snapshots(s, &other_dir).unwrap();
+        }
+        std::fs::copy(other_dir.join(&stale_part), dir.join(&stale_part)).unwrap();
+        assert_slot_mismatch(
+            pps_pipeline(data, 2)
+                .run_from_shard_snapshots(&dir)
+                .unwrap_err(),
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&other_dir).unwrap();
+    }
+
+    #[test]
+    fn stale_part_file_with_another_scheme_parameter_is_rejected() {
+        let data = Arc::new(generate_two_hours(&TrafficConfig::small(3)));
+        assert_stale_part_is_rejected(&data, || pps_pipeline(&data, 2).scheme(Scheme::pps(160.0)));
+    }
+
+    #[test]
+    fn stale_part_file_from_the_other_regime_is_rejected() {
+        let data = Arc::new(generate_two_hours(&TrafficConfig::small(3)));
+        assert_stale_part_is_rejected(&data, || {
+            pps_pipeline(&data, 2)
+                .scheme(Scheme::oblivious(0.5))
+                .estimators(max_oblivious_suite(0.5, 0.5))
+        });
+    }
+
     #[test]
     fn finish_before_completion_is_a_typed_error() {
         let data = Arc::new(generate_two_hours(&TrafficConfig::small(3)));
@@ -1283,6 +1140,19 @@ mod tests {
             .unwrap();
         assert_eq!(merged, oblivious_pipeline(&data, 2).run().unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ingest_session_rejects_zero_trials() {
+        let data = Arc::new(paper_example().take_instances(2));
+        let err = pps_pipeline(&data, 2)
+            .trials(0)
+            .ingest_session()
+            .unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Pipeline(PipelineError::ZeroTrials)),
+            "{err}"
+        );
     }
 
     #[test]

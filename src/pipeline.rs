@@ -44,11 +44,11 @@ use std::sync::Arc;
 
 use pie_analysis::{Evaluation, RunningStats, Table, TrialRunner};
 use pie_core::{functions, EstimatorRegistry};
-use pie_datagen::Dataset;
+use pie_datagen::{Dataset, ShardedStream};
 use pie_sampling::{
-    sample_all, sample_all_with_universe, sampled_key_union, InstanceSample, ObliviousLanes,
-    ObliviousOutcome, ObliviousPoissonSampler, PpsPoissonSampler, SeedAssignment, WeightedLanes,
-    WeightedOutcome,
+    sample_all, sample_all_with_universe, sampled_key_union, Instance, InstanceSample, Key,
+    LaneOutcome, ObliviousOutcome, ObliviousPoissonSampler, PoissonSketch, PpsPoissonSampler,
+    SamplingScheme, SeedAssignment, WeightedOutcome,
 };
 
 /// How each instance is sampled, independently of the others.
@@ -79,6 +79,108 @@ impl Scheme {
     #[must_use]
     pub fn pps(tau_star: f64) -> Self {
         Self::PpsPoisson { tau_star }
+    }
+
+    /// Checks the scheme's parameter and a Monte-Carlo trial count before
+    /// anything is sampled under them — the one validation every front end
+    /// ([`Pipeline`], [`StreamPipeline`](crate::StreamPipeline), the
+    /// checkpoint sessions, [`CatalogEntry::build`](crate::CatalogEntry::build)
+    /// and the serving layer) calls.
+    ///
+    /// # Errors
+    /// [`PipelineError::InvalidScheme`] for an oblivious `p` outside
+    /// `(0, 1]` or a PPS `tau_star` that is not positive and finite;
+    /// [`PipelineError::ZeroTrials`] for `trials == 0`, which has no
+    /// estimate to summarize.
+    pub fn validate(self, trials: u64) -> Result<(), PipelineError> {
+        let reason = match self {
+            Self::ObliviousPoisson { p } if !(p > 0.0 && p <= 1.0) => {
+                Some("sampling probability must lie in (0, 1]")
+            }
+            Self::PpsPoisson { tau_star } if !(tau_star > 0.0 && tau_star.is_finite()) => {
+                Some("tau_star must be positive and finite")
+            }
+            _ => None,
+        };
+        if let Some(reason) = reason {
+            return Err(PipelineError::InvalidScheme {
+                scheme: format!("{self:?}"),
+                reason,
+            });
+        }
+        if trials == 0 {
+            return Err(PipelineError::ZeroTrials);
+        }
+        Ok(())
+    }
+
+    /// Partitions `dataset` into the record stream this scheme's sketches
+    /// ingest, `shards` key partitions per instance.  Weight-oblivious
+    /// sampling runs over the key universe, because zero-valued keys take
+    /// part in its Bernoulli trials; PPS never samples a zero, so it runs
+    /// over the explicit records.
+    pub(crate) fn stream(self, dataset: &Dataset, shards: usize) -> ShardedStream {
+        match self {
+            Self::ObliviousPoisson { .. } => ShardedStream::over_universe(dataset, shards),
+            Self::PpsPoisson { .. } => ShardedStream::from_dataset(dataset, shards),
+        }
+    }
+
+    /// The key universe [`sample_all`](Self::sample_all) runs over: the
+    /// dataset's sorted key union for weight-oblivious sampling, and none for
+    /// PPS.  Computed once per run, outside the trial loop.
+    fn universe(self, dataset: &Dataset) -> Vec<Key> {
+        match self {
+            Self::ObliviousPoisson { .. } => dataset.keys(),
+            Self::PpsPoisson { .. } => Vec::new(),
+        }
+    }
+
+    /// Samples every instance once under `seeds` with the batch samplers:
+    /// over `universe` for weight-oblivious sampling (see
+    /// [`stream`](Self::stream)), over each instance's records for PPS.
+    fn sample_all(
+        self,
+        instances: &[Instance],
+        universe: &[Key],
+        seeds: &SeedAssignment,
+    ) -> Vec<InstanceSample> {
+        match self {
+            Self::ObliviousPoisson { p } => sample_all_with_universe(
+                &ObliviousPoissonSampler::new(p),
+                instances,
+                universe,
+                seeds,
+            ),
+            Self::PpsPoisson { tau_star } => {
+                sample_all(&PpsPoissonSampler::new(tau_star), instances, seeds)
+            }
+        }
+    }
+}
+
+/// A [`Scheme`] samples through a [`PoissonSketch`] of its own regime, so
+/// the sharded, checkpointed and served paths hold one sketch type for
+/// either regime.
+impl SamplingScheme for Scheme {
+    type Sketch = PoissonSketch;
+
+    fn name(&self) -> &'static str {
+        match self {
+            Self::ObliviousPoisson { .. } => "oblivious_poisson",
+            Self::PpsPoisson { .. } => "pps_poisson",
+        }
+    }
+
+    fn sketch(&self, seeds: &SeedAssignment, instance_index: u64) -> PoissonSketch {
+        match *self {
+            Self::ObliviousPoisson { p } => PoissonSketch::Oblivious(
+                ObliviousPoissonSampler::new(p).sketch(seeds, instance_index),
+            ),
+            Self::PpsPoisson { tau_star } => {
+                PoissonSketch::Pps(PpsPoissonSampler::new(tau_star).sketch(seeds, instance_index))
+            }
+        }
     }
 }
 
@@ -211,6 +313,8 @@ pub enum PipelineError {
         /// What was wrong with it.
         reason: &'static str,
     },
+    /// The trial count is zero: there would be no estimate to summarize.
+    ZeroTrials,
 }
 
 impl fmt::Display for PipelineError {
@@ -229,6 +333,7 @@ impl fmt::Display for PipelineError {
             Self::InvalidScheme { scheme, reason } => {
                 write!(f, "invalid scheme {scheme}: {reason}")
             }
+            Self::ZeroTrials => write!(f, "trial count must be at least 1"),
         }
     }
 }
@@ -387,23 +492,10 @@ impl PipelineReport {
 
 /// Builder wiring datagen → sampling → outcome assembly → batched estimation
 /// → sum aggregation.  See the [module docs](self) for the full walkthrough.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 #[must_use = "a pipeline does nothing until .run()"]
 pub struct Pipeline {
-    dataset: Option<Arc<Dataset>>,
-    scheme: Option<Scheme>,
-    estimators: Option<EstimatorSet>,
-    statistic: Option<Statistic>,
-    trials: u64,
-    base_salt: u64,
-    threads: Option<usize>,
-}
-
-impl Default for Pipeline {
-    /// Same as [`Pipeline::new`]: empty stages, 100 trials, salt 0.
-    fn default() -> Self {
-        Self::new()
-    }
+    stages: StageBuilder,
 }
 
 impl fmt::Debug for EstimatorSet {
@@ -418,15 +510,7 @@ impl fmt::Debug for EstimatorSet {
 impl Pipeline {
     /// Starts an empty pipeline (100 trials, salt 0 by default).
     pub fn new() -> Self {
-        Self {
-            dataset: None,
-            scheme: None,
-            estimators: None,
-            statistic: None,
-            trials: 100,
-            base_salt: 0,
-            threads: None,
-        }
+        Self::default()
     }
 
     /// Sets the dataset to sample and estimate over.
@@ -435,39 +519,39 @@ impl Pipeline {
     /// shared `Arc` when running several pipelines over the same data (e.g.
     /// a parameter sweep) to avoid deep-copying the instances per run.
     pub fn dataset(mut self, dataset: impl Into<Arc<Dataset>>) -> Self {
-        self.dataset = Some(dataset.into());
+        self.stages.dataset = Some(dataset.into());
         self
     }
 
     /// Sets the per-instance sampling scheme.
     pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.scheme = Some(scheme);
+        self.stages.scheme = Some(scheme);
         self
     }
 
     /// Sets the estimators to run; accepts a registry for either outcome
     /// regime (it must match the scheme at [`run`](Self::run) time).
     pub fn estimators(mut self, estimators: impl Into<EstimatorSet>) -> Self {
-        self.estimators = Some(estimators.into());
+        self.stages.estimators = Some(estimators.into());
         self
     }
 
     /// Sets the aggregated statistic (and the ground truth it implies).
     pub fn statistic(mut self, statistic: Statistic) -> Self {
-        self.statistic = Some(statistic);
+        self.stages.statistic = Some(statistic);
         self
     }
 
     /// Sets the number of Monte-Carlo sampling trials (default 100).
     pub fn trials(mut self, trials: u64) -> Self {
-        self.trials = trials;
+        self.stages.trials = trials;
         self
     }
 
     /// Sets the base hash salt; trial `t` uses salt `base_salt + t`, so
     /// different salts give independent experiments (default 0).
     pub fn base_salt(mut self, base_salt: u64) -> Self {
-        self.base_salt = base_salt;
+        self.stages.base_salt = base_salt;
         self
     }
 
@@ -480,7 +564,7 @@ impl Pipeline {
     /// reduced in a canonical order (see [`TrialRunner`]), so any thread
     /// count reproduces the sequential output bit for bit.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        self.stages.threads = Some(threads.max(1));
         self
     }
 
@@ -502,62 +586,16 @@ impl Pipeline {
     /// requirement.
     ///
     /// # Errors
-    /// Returns a [`PipelineError`] if a stage is missing or the estimator
-    /// regime does not match the scheme.
+    /// Returns a [`PipelineError`] if a stage is missing, the scheme or
+    /// trial count is invalid, or the estimator regime does not match the
+    /// scheme.
     pub fn run(self) -> Result<PipelineReport, PipelineError> {
-        let dataset = self.dataset.ok_or(PipelineError::MissingDataset)?;
-        let scheme = self.scheme.ok_or(PipelineError::MissingScheme)?;
-        let estimators = self.estimators.ok_or(PipelineError::MissingEstimators)?;
-        let statistic = self.statistic.ok_or(PipelineError::MissingStatistic)?;
-        if estimators.len() == 0 {
-            return Err(PipelineError::MissingEstimators);
-        }
-        validate_scheme(scheme)?;
-        let plan = TrialPlan::new(self.trials, self.base_salt, self.threads);
-        match (scheme, estimators) {
-            (Scheme::ObliviousPoisson { p }, EstimatorSet::Oblivious(registry)) => {
-                // `Dataset::keys` is already the sorted, deduped union, so
-                // compute the universe once instead of per worker.
-                let universe = dataset.keys();
-                Ok(run_oblivious_with(
-                    &dataset,
-                    &registry,
-                    &statistic,
-                    &plan,
-                    |_worker| {
-                        let sampler = ObliviousPoissonSampler::new(p);
-                        let ds = Arc::clone(&dataset);
-                        let universe = &universe;
-                        move |_t, seeds: &SeedAssignment| {
-                            sample_all_with_universe(&sampler, ds.instances(), universe, seeds)
-                        }
-                    },
-                ))
-            }
-            (Scheme::PpsPoisson { tau_star }, EstimatorSet::Weighted(registry)) => {
-                Ok(run_pps_with(
-                    &dataset,
-                    tau_star,
-                    &registry,
-                    &statistic,
-                    &plan,
-                    |_worker| {
-                        let sampler = PpsPoissonSampler::new(tau_star);
-                        let ds = Arc::clone(&dataset);
-                        move |_t, seeds: &SeedAssignment| {
-                            sample_all(&sampler, ds.instances(), seeds)
-                        }
-                    },
-                ))
-            }
-            (scheme, estimators) => Err(PipelineError::RegimeMismatch {
-                scheme: format!("{scheme:?}"),
-                estimators: match estimators {
-                    EstimatorSet::Oblivious(_) => "weight-oblivious",
-                    EstimatorSet::Weighted(_) => "weighted",
-                },
-            }),
-        }
+        let stages = self.stages.validate()?;
+        let (scheme, instances) = (stages.scheme, stages.dataset.instances());
+        let universe = &scheme.universe(&stages.dataset);
+        stages.estimate(|_worker| {
+            move |_t, seeds: &SeedAssignment| scheme.sample_all(instances, universe, seeds)
+        })
     }
 }
 
@@ -598,24 +636,103 @@ impl TrialPlan {
     }
 }
 
-/// Validates the scheme's parameters (shared by [`Pipeline`] and
-/// [`StreamPipeline`](crate::StreamPipeline)).
-pub(crate) fn validate_scheme(scheme: Scheme) -> Result<(), PipelineError> {
-    match scheme {
-        Scheme::ObliviousPoisson { p } if !(p > 0.0 && p <= 1.0) => {
-            Err(PipelineError::InvalidScheme {
-                scheme: format!("{scheme:?}"),
-                reason: "sampling probability must lie in (0, 1]",
-            })
+/// The stages a builder collects — [`Pipeline`]'s, and
+/// [`StreamPipeline`](crate::StreamPipeline)'s besides its shard count —
+/// checked only when it runs.
+#[derive(Debug)]
+pub(crate) struct StageBuilder {
+    pub(crate) dataset: Option<Arc<Dataset>>,
+    pub(crate) scheme: Option<Scheme>,
+    pub(crate) estimators: Option<EstimatorSet>,
+    pub(crate) statistic: Option<Statistic>,
+    pub(crate) trials: u64,
+    pub(crate) base_salt: u64,
+    pub(crate) threads: Option<usize>,
+}
+
+impl Default for StageBuilder {
+    /// Empty stages, 100 trials, salt 0, the default thread count.
+    fn default() -> Self {
+        Self {
+            dataset: None,
+            scheme: None,
+            estimators: None,
+            statistic: None,
+            trials: 100,
+            base_salt: 0,
+            threads: None,
         }
-        Scheme::PpsPoisson { tau_star } if !(tau_star > 0.0 && tau_star.is_finite()) => {
-            Err(PipelineError::InvalidScheme {
-                scheme: format!("{scheme:?}"),
-                reason: "tau_star must be positive and finite",
-            })
-        }
-        _ => Ok(()),
     }
+}
+
+impl StageBuilder {
+    /// Checks that every stage was supplied and that they fit together: a
+    /// non-empty estimator registry, a valid scheme and trial count
+    /// ([`Scheme::validate`]), and estimators of the scheme's regime.
+    pub(crate) fn validate(self) -> Result<Stages, PipelineError> {
+        let dataset = self.dataset.ok_or(PipelineError::MissingDataset)?;
+        let scheme = self.scheme.ok_or(PipelineError::MissingScheme)?;
+        let estimators = self.estimators.ok_or(PipelineError::MissingEstimators)?;
+        let statistic = self.statistic.ok_or(PipelineError::MissingStatistic)?;
+        if estimators.len() == 0 {
+            return Err(PipelineError::MissingEstimators);
+        }
+        scheme.validate(self.trials)?;
+        check_regime(scheme, &estimators)?;
+        Ok(Stages {
+            dataset,
+            scheme,
+            estimators,
+            statistic,
+            trials: self.trials,
+            base_salt: self.base_salt,
+            threads: self.threads,
+        })
+    }
+}
+
+/// A builder's stages, all supplied and validated: what [`Pipeline`],
+/// [`StreamPipeline`](crate::StreamPipeline) and the checkpoint sessions
+/// hand the estimation core.
+pub(crate) struct Stages {
+    pub(crate) dataset: Arc<Dataset>,
+    pub(crate) scheme: Scheme,
+    estimators: EstimatorSet,
+    statistic: Statistic,
+    pub(crate) trials: u64,
+    pub(crate) base_salt: u64,
+    threads: Option<usize>,
+}
+
+impl Stages {
+    /// Runs the estimation core over the per-trial samples `make_sampler`'s
+    /// closures produce (see [`estimate`]).
+    pub(crate) fn estimate<R, G, F>(&self, make_sampler: F) -> Result<PipelineReport, PipelineError>
+    where
+        F: Fn(usize) -> G + Sync,
+        G: FnMut(u64, &SeedAssignment) -> R + Send,
+        R: AsRef<[InstanceSample]>,
+    {
+        let plan = TrialPlan::new(self.trials, self.base_salt, self.threads);
+        let combos = [(&self.estimators, &self.statistic)];
+        let mut reports = estimate(&self.dataset, self.scheme, &combos, &plan, make_sampler)?;
+        Ok(reports.pop().expect("one combination in, one report out"))
+    }
+}
+
+/// Checks that `estimators` consume the outcome regime `scheme` produces —
+/// the one place a [`PipelineError::RegimeMismatch`] is raised.
+fn check_regime(scheme: Scheme, estimators: &EstimatorSet) -> Result<(), PipelineError> {
+    let estimators = match (scheme, estimators) {
+        (Scheme::ObliviousPoisson { .. }, EstimatorSet::Oblivious(_))
+        | (Scheme::PpsPoisson { .. }, EstimatorSet::Weighted(_)) => return Ok(()),
+        (_, EstimatorSet::Oblivious(_)) => "weight-oblivious",
+        (_, EstimatorSet::Weighted(_)) => "weighted",
+    };
+    Err(PipelineError::RegimeMismatch {
+        scheme: format!("{scheme:?}"),
+        estimators,
+    })
 }
 
 /// Exact ground truth of the aggregate: `Σ_key statistic(v(key))`.
@@ -648,99 +765,188 @@ fn summarize(
     }
 }
 
-/// Per-worker scratch state of the oblivious estimation core: the worker's
-/// sampling closure plus its reusable lane and estimate buffers.
-struct ObliviousWorker<G> {
-    sample_trial: G,
-    lanes: ObliviousLanes,
-    estimates: Vec<f64>,
+/// What the two sampling regimes decide differently inside the one
+/// estimation core: which estimators apply, which keys get an outcome in a
+/// trial, and how the outcome lanes are filled.
+trait Regime: Sync {
+    /// The per-key outcome the regime's estimators consume.
+    type Outcome: LaneOutcome<Lanes: Default + Send>;
+
+    /// The registry in `estimators`, if it consumes this regime's outcomes.
+    fn registry(estimators: &EstimatorSet) -> Option<&EstimatorRegistry<Self::Outcome>>;
+
+    /// Fills `lanes` with one outcome per key that gets one in this trial.
+    fn fill(
+        &self,
+        samples: &[InstanceSample],
+        seeds: &SeedAssignment,
+        lanes: &mut <Self::Outcome as LaneOutcome>::Lanes,
+    );
 }
 
-/// The oblivious-regime estimation core: runs `trials` Monte-Carlo trials on
-/// the parallel trial engine, obtaining each trial's per-instance samples
-/// from a worker's sampling closure (batch samplers, sharded streaming
-/// ingest, …) and pushing them through the pooled outcome buffers and the
-/// batched estimator hot path.
+/// Weight-oblivious Poisson sampling (Section 4): every key of the dataset
+/// universe gets an outcome, sampled or not.
+struct Oblivious {
+    /// The sorted key union, computed once per run.
+    universe: Vec<Key>,
+}
+
+impl Regime for Oblivious {
+    type Outcome = ObliviousOutcome;
+
+    fn registry(estimators: &EstimatorSet) -> Option<&EstimatorRegistry<ObliviousOutcome>> {
+        match estimators {
+            EstimatorSet::Oblivious(registry) => Some(registry),
+            _ => None,
+        }
+    }
+
+    fn fill(
+        &self,
+        samples: &[InstanceSample],
+        _seeds: &SeedAssignment,
+        lanes: &mut pie_sampling::ObliviousLanes,
+    ) {
+        lanes.fill_from_samples(&self.universe, samples);
+    }
+}
+
+/// PPS sampling with known seeds (Sections 5–6): only keys sampled in some
+/// instance get an outcome.  A key sampled nowhere is credited zero without
+/// consulting the estimators, which is exact for every nonnegative
+/// unbiased estimator (see [`Pipeline::run`]).
+struct Pps {
+    tau_star: f64,
+}
+
+impl Regime for Pps {
+    type Outcome = WeightedOutcome;
+
+    fn registry(estimators: &EstimatorSet) -> Option<&EstimatorRegistry<WeightedOutcome>> {
+        match estimators {
+            EstimatorSet::Weighted(registry) => Some(registry),
+            _ => None,
+        }
+    }
+
+    fn fill(
+        &self,
+        samples: &[InstanceSample],
+        seeds: &SeedAssignment,
+        lanes: &mut pie_sampling::WeightedLanes,
+    ) {
+        let keys = sampled_key_union(samples);
+        lanes.fill_pps(&keys, samples, seeds, self.tau_star);
+    }
+}
+
+/// The estimation core behind every front end: runs `plan.trials`
+/// Monte-Carlo trials on the parallel trial engine and answers every
+/// `(estimators, statistic)` combination from that **one** replay.
+///
+/// Per trial, the samples come from a worker's sampling closure, and the
+/// outcome lanes are filled once and shared by every combination; each
+/// combination then pays only for its own lane kernels and accumulation.
+/// Every float operation a combination sees is the one it would see
+/// running alone, so each report is **bit-identical** to a
+/// single-combination call.
 ///
 /// `make_sampler(worker)` builds one worker thread's sampling closure
-/// (cloned samplers, per-worker sketch pools, …).  Each closure must be a
-/// pure function of `(trial, seeds)` — per-trial samples may not depend on
+/// (batch samplers, per-worker sketch pools, …).  Each closure must be a
+/// pure function of `(trial, seeds)` — a trial's samples may not depend on
 /// which worker draws them — which is what makes the report bit-identical
 /// at every thread count.  The closure may return owned samples (live
 /// sampling) or borrow precomputed ones (`&[InstanceSample]`, the
-/// catalog/checkpoint replay paths) — anything `AsRef<[InstanceSample]>` —
-/// so replaying finalized samples costs no per-trial deep copy.
-pub(crate) fn run_oblivious_with<R, G, F>(
+/// catalog/checkpoint replay paths), so replaying finalized samples costs
+/// no per-trial deep copy.
+///
+/// # Errors
+/// [`PipelineError::RegimeMismatch`] if some estimators consume a
+/// different outcome regime than `scheme` produces.
+pub(crate) fn estimate<R, G, F>(
     dataset: &Dataset,
-    registry: &EstimatorRegistry<ObliviousOutcome>,
-    statistic: &Statistic,
+    scheme: Scheme,
+    combos: &[(&EstimatorSet, &Statistic)],
     plan: &TrialPlan,
     make_sampler: F,
-) -> PipelineReport
+) -> Result<Vec<PipelineReport>, PipelineError>
 where
     F: Fn(usize) -> G + Sync,
     G: FnMut(u64, &SeedAssignment) -> R + Send,
     R: AsRef<[InstanceSample]>,
 {
-    run_oblivious_multi_with(dataset, &[(registry, statistic)], plan, make_sampler)
-        .pop()
-        .expect("one combination in, one report out")
+    for (estimators, _) in combos {
+        check_regime(scheme, estimators)?;
+    }
+    Ok(match scheme {
+        Scheme::ObliviousPoisson { .. } => {
+            let regime = Oblivious {
+                universe: dataset.keys(),
+            };
+            run_regime(&regime, dataset, combos, plan, make_sampler)
+        }
+        Scheme::PpsPoisson { tau_star } => {
+            run_regime(&Pps { tau_star }, dataset, combos, plan, make_sampler)
+        }
+    })
 }
 
-/// Multi-query variant of [`run_oblivious_with`]: answers every
-/// `(registry, statistic)` combination from **one** replay of the trial
-/// loop.  Per trial, the samples are drawn once and the per-key outcomes
-/// are assembled once (the expensive part — it scales with the key
-/// universe); each combination then only pays its own `estimate_batch` and
-/// accumulation.  Every float operation a combination sees is the same it
-/// would see running alone, so each returned report is **bit-identical** to
-/// the corresponding single-combination [`run_oblivious_with`] call.
-pub(crate) fn run_oblivious_multi_with<R, G, F>(
+/// One trial worker's state: its sampling closure plus the lane and estimate
+/// buffers it rewrites in place every trial, so the hot loop stays
+/// allocation-free after warm-up.
+struct Worker<G, L> {
+    sample_trial: G,
+    lanes: L,
+    estimates: Vec<f64>,
+}
+
+/// [`estimate`] for one regime, its combinations already regime-checked.
+fn run_regime<Rg, R, G, F>(
+    regime: &Rg,
     dataset: &Dataset,
-    combos: &[(&EstimatorRegistry<ObliviousOutcome>, &Statistic)],
+    combos: &[(&EstimatorSet, &Statistic)],
     plan: &TrialPlan,
     make_sampler: F,
 ) -> Vec<PipelineReport>
 where
+    Rg: Regime,
     F: Fn(usize) -> G + Sync,
     G: FnMut(u64, &SeedAssignment) -> R + Send,
     R: AsRef<[InstanceSample]>,
 {
+    let registries: Vec<&EstimatorRegistry<Rg::Outcome>> = combos
+        .iter()
+        .map(|(estimators, _)| Rg::registry(estimators).expect("regime checked by `estimate`"))
+        .collect();
     let truths: Vec<f64> = combos
         .iter()
         .map(|(_, statistic)| exact_truth(dataset, statistic))
         .collect();
-    // `keys` is the sorted, deduped union of all instances' keys: the same
-    // universe the sampling stage (batch or streaming) covers.
-    let keys = dataset.keys();
-    let keys = &keys;
     let base_salt = plan.base_salt;
     // One statistics lane per (combination, estimator), flattened in
     // combination order; chunk accumulators merge per lane exactly as in a
     // single-combination run.
-    let lanes: usize = combos.iter().map(|(registry, _)| registry.len()).sum();
+    let lanes: usize = registries.iter().map(|registry| registry.len()).sum();
     // Stage attribution is observation only — clock reads between stages,
     // never inside the float path — so observed runs stay bit-identical.
     let stages = plan.observer.stages.as_deref();
     let stats = plan.runner.run(
         plan.trials,
         lanes,
-        // Reusable per-worker buffers: the lane vectors are resized once and
-        // rewritten in place every trial, so the hot loop stays
-        // allocation-free.
-        |worker| ObliviousWorker {
+        |worker| Worker {
             sample_trial: make_sampler(worker),
-            lanes: ObliviousLanes::new(),
-            estimates: vec![0.0; keys.len()],
+            lanes: <Rg::Outcome as LaneOutcome>::Lanes::default(),
+            estimates: Vec::new(),
         },
         |w, t, stats| {
             let replay_start = stages.map(|_| std::time::Instant::now());
             let seeds = SeedAssignment::independent_known(base_salt.wrapping_add(t));
             let samples = (w.sample_trial)(t, &seeds);
-            w.lanes.fill_from_samples(keys, samples.as_ref());
+            regime.fill(samples.as_ref(), &seeds, &mut w.lanes);
+            w.estimates.resize(Rg::Outcome::lanes_len(&w.lanes), 0.0);
             let batch_start = stages.map(|_| std::time::Instant::now());
             let mut lane = 0;
-            for (registry, _) in combos {
+            for registry in &registries {
                 for (_, estimator) in registry.iter() {
                     estimator.estimate_lanes(&w.lanes, &mut w.estimates);
                     stats[lane].push(w.estimates.iter().sum());
@@ -755,131 +961,17 @@ where
             }
         },
     );
-    let mut reports = Vec::with_capacity(combos.len());
     let mut lane = 0;
-    for ((registry, statistic), truth) in combos.iter().zip(&truths) {
-        let slice = &stats[lane..lane + registry.len()];
-        lane += registry.len();
-        reports.push(summarize(
-            statistic,
-            *truth,
-            plan.trials,
-            registry.names(),
-            slice,
-        ));
-    }
-    reports
-}
-
-/// Per-worker scratch state of the weighted estimation core.
-struct WeightedWorker<G> {
-    sample_trial: G,
-    lanes: WeightedLanes,
-    estimates: Vec<f64>,
-}
-
-/// The weighted (PPS, known seeds) estimation core; see
-/// [`run_oblivious_with`] for the trial structure and determinism contract.
-pub(crate) fn run_pps_with<R, G, F>(
-    dataset: &Dataset,
-    tau_star: f64,
-    registry: &EstimatorRegistry<WeightedOutcome>,
-    statistic: &Statistic,
-    plan: &TrialPlan,
-    make_sampler: F,
-) -> PipelineReport
-where
-    F: Fn(usize) -> G + Sync,
-    G: FnMut(u64, &SeedAssignment) -> R + Send,
-    R: AsRef<[InstanceSample]>,
-{
-    run_pps_multi_with(
-        dataset,
-        tau_star,
-        &[(registry, statistic)],
-        plan,
-        make_sampler,
-    )
-    .pop()
-    .expect("one combination in, one report out")
-}
-
-/// Multi-query variant of [`run_pps_with`]; see [`run_oblivious_multi_with`]
-/// for the shared-replay structure and the bit-identity argument.  Here the
-/// shared per-trial work is even larger: the sampled-key union and the
-/// weighted outcome assembly (seeds, tau*, values) are computed once for
-/// all combinations.
-pub(crate) fn run_pps_multi_with<R, G, F>(
-    dataset: &Dataset,
-    tau_star: f64,
-    combos: &[(&EstimatorRegistry<WeightedOutcome>, &Statistic)],
-    plan: &TrialPlan,
-    make_sampler: F,
-) -> Vec<PipelineReport>
-where
-    F: Fn(usize) -> G + Sync,
-    G: FnMut(u64, &SeedAssignment) -> R + Send,
-    R: AsRef<[InstanceSample]>,
-{
-    let truths: Vec<f64> = combos
+    registries
         .iter()
-        .map(|(_, statistic)| exact_truth(dataset, statistic))
-        .collect();
-    let base_salt = plan.base_salt;
-    let lanes: usize = combos.iter().map(|(registry, _)| registry.len()).sum();
-    // Observation only; see `run_oblivious_multi_with`.
-    let stages = plan.observer.stages.as_deref();
-    let stats = plan.runner.run(
-        plan.trials,
-        lanes,
-        // Per-worker lane buffers: grow to the worker's largest per-trial
-        // key set, then are reused.  (Keys sampled nowhere contribute zero
-        // for nonnegative estimators, so each trial only assembles lanes
-        // for keys present in some sample.)
-        |worker| WeightedWorker {
-            sample_trial: make_sampler(worker),
-            lanes: WeightedLanes::new(),
-            estimates: Vec::new(),
-        },
-        |w, t, stats| {
-            let replay_start = stages.map(|_| std::time::Instant::now());
-            let seeds = SeedAssignment::independent_known(base_salt.wrapping_add(t));
-            let samples = (w.sample_trial)(t, &seeds);
-            let samples = samples.as_ref();
-            let keys = sampled_key_union(samples);
-            w.lanes.fill_pps(&keys, samples, &seeds, tau_star);
-            w.estimates.resize(keys.len(), 0.0);
-            let batch_start = stages.map(|_| std::time::Instant::now());
-            let mut lane = 0;
-            for (registry, _) in combos {
-                for (_, estimator) in registry.iter() {
-                    estimator.estimate_lanes(&w.lanes, &mut w.estimates[..keys.len()]);
-                    stats[lane].push(w.estimates[..keys.len()].iter().sum());
-                    lane += 1;
-                }
-            }
-            if let (Some(totals), Some(replayed), Some(batched)) =
-                (stages, replay_start, batch_start)
-            {
-                totals.add_trial_replay(elapsed_nanos(replayed, batched));
-                totals.add_estimator_batch(nanos_since(batched));
-            }
-        },
-    );
-    let mut reports = Vec::with_capacity(combos.len());
-    let mut lane = 0;
-    for ((registry, statistic), truth) in combos.iter().zip(&truths) {
-        let slice = &stats[lane..lane + registry.len()];
-        lane += registry.len();
-        reports.push(summarize(
-            statistic,
-            *truth,
-            plan.trials,
-            registry.names(),
-            slice,
-        ));
-    }
-    reports
+        .zip(combos)
+        .zip(truths)
+        .map(|((registry, (_, statistic)), truth)| {
+            let slice = &stats[lane..lane + registry.len()];
+            lane += registry.len();
+            summarize(statistic, truth, plan.trials, registry.names(), slice)
+        })
+        .collect()
 }
 
 /// Saturating nanoseconds between two stage boundary clock reads.
@@ -959,6 +1051,31 @@ mod tests {
             );
             assert!(err.to_string().contains("positive and finite"));
         }
+    }
+
+    #[test]
+    fn pipeline_rejects_zero_trials() {
+        let err = Pipeline::new()
+            .dataset(paper_example().take_instances(2))
+            .scheme(Scheme::pps(5.0))
+            .estimators(max_weighted_suite())
+            .statistic(Statistic::max_dominance())
+            .trials(0)
+            .run()
+            .unwrap_err();
+        assert_eq!(err, PipelineError::ZeroTrials);
+        // The scheme parameter is checked first.
+        let err = Scheme::pps(0.0).validate(0).unwrap_err();
+        assert!(matches!(err, PipelineError::InvalidScheme { .. }), "{err}");
+    }
+
+    #[test]
+    fn scheme_is_named_like_its_concrete_sampler() {
+        assert_eq!(
+            Scheme::oblivious(0.5).name(),
+            ObliviousPoissonSampler::new(0.5).name()
+        );
+        assert_eq!(Scheme::pps(2.0).name(), PpsPoissonSampler::new(2.0).name());
     }
 
     #[test]

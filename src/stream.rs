@@ -44,14 +44,10 @@
 use std::sync::Arc;
 
 use pie_datagen::{Dataset, ShardedStream};
-use pie_sampling::{
-    InstanceSample, Key, ObliviousPoissonSampler, PpsPoissonSampler, SamplingScheme,
-    SeedAssignment, Sketch,
-};
+use pie_sampling::{InstanceSample, Key, SamplingScheme, SeedAssignment, Sketch};
 
 use crate::pipeline::{
-    run_oblivious_with, run_pps_with, validate_scheme, EstimatorSet, PipelineError, PipelineReport,
-    Scheme, Statistic, TrialPlan,
+    EstimatorSet, PipelineError, PipelineReport, Scheme, StageBuilder, Stages, Statistic,
 };
 
 /// Builder wiring record stream → sharded ingest → merge tree → batched
@@ -59,14 +55,8 @@ use crate::pipeline::{
 #[derive(Debug)]
 #[must_use = "a stream pipeline does nothing until .run()"]
 pub struct StreamPipeline {
-    pub(crate) dataset: Option<Arc<Dataset>>,
-    pub(crate) scheme: Option<Scheme>,
-    pub(crate) shards: usize,
-    pub(crate) estimators: Option<EstimatorSet>,
-    pub(crate) statistic: Option<Statistic>,
-    pub(crate) trials: u64,
-    pub(crate) base_salt: u64,
-    pub(crate) threads: Option<usize>,
+    stages: StageBuilder,
+    shards: usize,
 }
 
 impl Default for StreamPipeline {
@@ -81,26 +71,20 @@ impl StreamPipeline {
     /// Starts an empty stream pipeline (1 shard, 100 trials, salt 0).
     pub fn new() -> Self {
         Self {
-            dataset: None,
-            scheme: None,
+            stages: StageBuilder::default(),
             shards: 1,
-            estimators: None,
-            statistic: None,
-            trials: 100,
-            base_salt: 0,
-            threads: None,
         }
     }
 
     /// Sets the dataset whose record stream is replayed.
     pub fn dataset(mut self, dataset: impl Into<Arc<Dataset>>) -> Self {
-        self.dataset = Some(dataset.into());
+        self.stages.dataset = Some(dataset.into());
         self
     }
 
     /// Sets the per-instance sampling scheme.
     pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.scheme = Some(scheme);
+        self.stages.scheme = Some(scheme);
         self
     }
 
@@ -113,25 +97,25 @@ impl StreamPipeline {
 
     /// Sets the estimators to run (registry regime must match the scheme).
     pub fn estimators(mut self, estimators: impl Into<EstimatorSet>) -> Self {
-        self.estimators = Some(estimators.into());
+        self.stages.estimators = Some(estimators.into());
         self
     }
 
     /// Sets the aggregated statistic (and the ground truth it implies).
     pub fn statistic(mut self, statistic: Statistic) -> Self {
-        self.statistic = Some(statistic);
+        self.stages.statistic = Some(statistic);
         self
     }
 
     /// Sets the number of Monte-Carlo sampling trials (default 100).
     pub fn trials(mut self, trials: u64) -> Self {
-        self.trials = trials;
+        self.stages.trials = trials;
         self
     }
 
     /// Sets the base hash salt; trial `t` uses salt `base_salt + t`.
     pub fn base_salt(mut self, base_salt: u64) -> Self {
-        self.base_salt = base_salt;
+        self.stages.base_salt = base_salt;
         self
     }
 
@@ -143,7 +127,7 @@ impl StreamPipeline {
     /// whole trials.  As with the batch [`crate::Pipeline`], the thread
     /// count never changes the report — only the wall clock.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        self.stages.threads = Some(threads.max(1));
         self
     }
 
@@ -153,68 +137,29 @@ impl StreamPipeline {
     /// and feeds the estimation stage shared with [`crate::Pipeline`].
     ///
     /// # Errors
-    /// Returns a [`PipelineError`] if a stage is missing, a scheme parameter
-    /// is out of range, or the estimator regime does not match the scheme.
+    /// Returns a [`PipelineError`] if a stage is missing, the scheme or
+    /// trial count is invalid, or the estimator regime does not match the
+    /// scheme.
     pub fn run(self) -> Result<PipelineReport, PipelineError> {
-        let dataset = self.dataset.ok_or(PipelineError::MissingDataset)?;
-        let scheme = self.scheme.ok_or(PipelineError::MissingScheme)?;
-        let estimators = self.estimators.ok_or(PipelineError::MissingEstimators)?;
-        let statistic = self.statistic.ok_or(PipelineError::MissingStatistic)?;
-        if estimators.len() == 0 {
-            return Err(PipelineError::MissingEstimators);
-        }
-        validate_scheme(scheme)?;
-        let seeds0 = SeedAssignment::independent_known(self.base_salt);
-        let plan = TrialPlan::new(self.trials, self.base_salt, self.threads);
-        match (scheme, estimators) {
-            (Scheme::ObliviousPoisson { p }, EstimatorSet::Oblivious(registry)) => {
-                // Weight-oblivious sampling runs over the key universe, so
-                // every union key is streamed into every instance's shards.
-                let stream = ShardedStream::over_universe(&dataset, self.shards);
-                let sampler = ObliviousPoissonSampler::new(p);
-                let stream = &stream;
-                Ok(run_oblivious_with(
-                    &dataset,
-                    &registry,
-                    &statistic,
-                    &plan,
-                    |_worker| {
-                        // Each trial worker owns one full sketch-pool set;
-                        // sketches reset to the trial's seeds before ingest,
-                        // so any worker replays any trial identically.
-                        let mut pools = sketch_pools(&sampler, stream, &seeds0);
-                        move |_t, seeds: &SeedAssignment| {
-                            ingest_merge_finalize(stream, &mut pools, seeds)
-                        }
-                    },
-                ))
-            }
-            (Scheme::PpsPoisson { tau_star }, EstimatorSet::Weighted(registry)) => {
-                let stream = ShardedStream::from_dataset(&dataset, self.shards);
-                let sampler = PpsPoissonSampler::new(tau_star);
-                let stream = &stream;
-                Ok(run_pps_with(
-                    &dataset,
-                    tau_star,
-                    &registry,
-                    &statistic,
-                    &plan,
-                    |_worker| {
-                        let mut pools = sketch_pools(&sampler, stream, &seeds0);
-                        move |_t, seeds: &SeedAssignment| {
-                            ingest_merge_finalize(stream, &mut pools, seeds)
-                        }
-                    },
-                ))
-            }
-            (scheme, estimators) => Err(PipelineError::RegimeMismatch {
-                scheme: format!("{scheme:?}"),
-                estimators: match estimators {
-                    EstimatorSet::Oblivious(_) => "weight-oblivious",
-                    EstimatorSet::Weighted(_) => "weighted",
-                },
-            }),
-        }
+        let (stages, stream) = self.validate()?;
+        let (scheme, stream) = (stages.scheme, &stream);
+        let seeds0 = SeedAssignment::independent_known(stages.base_salt);
+        stages.estimate(|_worker| {
+            // Each trial worker owns one full sketch-pool set; sketches
+            // reset to the trial's seeds before ingest, so any worker
+            // replays any trial identically.
+            let mut pools = sketch_pools(&scheme, stream, &seeds0);
+            move |_t, seeds: &SeedAssignment| ingest_merge_finalize(stream, &mut pools, seeds)
+        })
+    }
+
+    /// Validates the stages (the rules of [`crate::Pipeline::run`]) and
+    /// partitions the record stream the scheme samples into the configured
+    /// shards.
+    pub(crate) fn validate(self) -> Result<(Stages, ShardedStream), PipelineError> {
+        let stages = self.stages.validate()?;
+        let stream = stages.scheme.stream(&stages.dataset, self.shards);
+        Ok((stages, stream))
     }
 
     /// Samples the configured dataset and finalizes the per-trial samples
@@ -227,11 +172,18 @@ impl StreamPipeline {
     ///
     /// # Errors
     /// [`PipelineError::MissingDataset`] / [`PipelineError::MissingScheme`]
-    /// / [`PipelineError::InvalidScheme`].
+    /// / [`PipelineError::InvalidScheme`] / [`PipelineError::ZeroTrials`].
     pub fn into_catalog_entry(self) -> Result<crate::CatalogEntry, PipelineError> {
-        let dataset = self.dataset.ok_or(PipelineError::MissingDataset)?;
-        let scheme = self.scheme.ok_or(PipelineError::MissingScheme)?;
-        crate::CatalogEntry::build(dataset, scheme, self.shards, self.trials, self.base_salt)
+        let stages = self.stages;
+        let dataset = stages.dataset.ok_or(PipelineError::MissingDataset)?;
+        let scheme = stages.scheme.ok_or(PipelineError::MissingScheme)?;
+        crate::CatalogEntry::build(
+            dataset,
+            scheme,
+            self.shards,
+            stages.trials,
+            stages.base_salt,
+        )
     }
 }
 
@@ -444,6 +396,20 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, PipelineError::InvalidScheme { .. }));
+    }
+
+    #[test]
+    fn stream_pipeline_rejects_zero_trials() {
+        let err = StreamPipeline::new()
+            .dataset(paper_example().take_instances(2))
+            .scheme(Scheme::pps(5.0))
+            .shards(2)
+            .estimators(max_weighted_suite())
+            .statistic(Statistic::max_dominance())
+            .trials(0)
+            .run()
+            .unwrap_err();
+        assert_eq!(err, PipelineError::ZeroTrials);
     }
 
     #[test]
