@@ -21,11 +21,8 @@
 //! trials, seed)` — never on the worker-thread count, which follows
 //! `PIE_THREADS` / the machine's available parallelism.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use pie_core::{Estimator, EstimatorRegistry};
-use pie_datagen::Dataset;
+use pie_datagen::{Dataset, Xoshiro256pp};
 use pie_sampling::{
     hash, sample_all, Key, ObliviousEntry, ObliviousOutcome, PpsPoissonSampler, SeedAssignment,
     WeightedEntry, WeightedOutcome,
@@ -125,8 +122,8 @@ fn evaluator_runner() -> TrialRunner {
 /// The RNG seed of one reduction chunk: a pure function of the evaluation
 /// seed and the chunk index, so chunk outcomes are reproducible whichever
 /// worker generates them.
-fn chunk_rng(seed: u64, chunk_start: u64) -> StdRng {
-    StdRng::seed_from_u64(hash::combine(seed, chunk_start / SIMULATION_BATCH as u64))
+fn chunk_rng(seed: u64, chunk_start: u64) -> Xoshiro256pp {
+    Xoshiro256pp::seed_from_u64(hash::combine(seed, chunk_start / SIMULATION_BATCH as u64))
 }
 
 /// Runs every estimator lane over `trials` simulated weight-oblivious

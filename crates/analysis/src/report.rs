@@ -6,8 +6,6 @@
 
 use std::fmt::Write as _;
 
-use serde::Serialize;
-
 /// A simple aligned text table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
@@ -104,7 +102,7 @@ impl Table {
 }
 
 /// A named (x, y) series, one per curve of a figure.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Curve label (e.g. `"var[L]/var[HT]"`).
     pub label: String,

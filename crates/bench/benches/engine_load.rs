@@ -31,12 +31,11 @@ use std::time::{Duration, Instant};
 
 use partial_info_estimators::datagen::{
     generate_set_pair, generate_two_hours, paper_example, SetPairConfig, TrafficConfig,
+    Xoshiro256pp,
 };
 use partial_info_estimators::{CatalogEntry, Scheme};
 use pie_bench::LatencySummary;
 use pie_serve::{BatchQuery, ServeClient, ServeError, Server};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Simulated user population.
 const USERS: usize = 1_000_000;
@@ -67,7 +66,7 @@ impl ZipfUsers {
         Self { cdf }
     }
 
-    fn sample(&self, rng: &mut StdRng) -> usize {
+    fn sample(&self, rng: &mut Xoshiro256pp) -> usize {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
@@ -191,7 +190,7 @@ fn main() {
         // The request plan is drawn up front (zipf user → combination;
         // every 4th request is a whole-sketch BatchEstimate) so workers
         // only race on the shared arrival index.
-        let mut rng = StdRng::seed_from_u64(0xE7617E + offered_rate as u64);
+        let mut rng = Xoshiro256pp::seed_from_u64(0xE7617E + offered_rate as u64);
         let plan: Vec<(usize, bool)> = (0..requests_per_row)
             .map(|i| {
                 let user = zipf.sample(&mut rng);

@@ -2,18 +2,16 @@
 //! path, for both outcome regimes, through dynamic dispatch (the shape the
 //! `EstimatorRegistry` / `Pipeline` use in production).
 //!
-//! Besides the Criterion groups, running this bench rewrites
-//! `BENCH_estimator_batch_throughput.json` at the workspace root with a
-//! machine-readable data point, so the perf trajectory of the hot path is
-//! tracked in-repo.
+//! Running this bench rewrites `BENCH_estimator_batch_throughput.json` at
+//! the workspace root with a machine-readable data point, so the perf
+//! trajectory of the hot path is tracked in-repo.
 //!
 //! ```text
 //! cargo bench -p pie-bench --bench estimator_batch_throughput
 //! ```
 
+use std::hint::black_box;
 use std::time::Instant;
-
-use criterion::{black_box, criterion_group, Criterion, Throughput};
 
 use pie_core::oblivious::{MaxHtOblivious, MaxL2};
 use pie_core::weighted::MaxLPps2;
@@ -125,70 +123,6 @@ fn weighted_batch() -> Vec<WeightedOutcome> {
         })
         .collect()
 }
-
-/// Fills `out` with one dynamic call per outcome: the historical shape of
-/// every evaluation loop in this workspace.
-fn per_outcome_path<O>(estimator: &dyn Estimator<O>, outcomes: &[O], out: &mut [f64]) {
-    for (slot, outcome) in out.iter_mut().zip(outcomes) {
-        *slot = estimator.estimate(outcome);
-    }
-}
-
-/// Fills `out` with one dynamic call over the prebuilt lane pool; inside
-/// `estimate_lanes` the receiver is concrete and the lanes are contiguous,
-/// so the chunked kernels autovectorize.
-fn lane_path<O: LaneOutcome>(estimator: &dyn Estimator<O>, lanes: &O::Lanes, out: &mut [f64]) {
-    estimator.estimate_lanes(lanes, out);
-}
-
-fn bench_oblivious(c: &mut Criterion) {
-    let outcomes = oblivious_batch();
-    let mut lanes = ObliviousLanes::new();
-    lanes.fill_from_outcomes(&outcomes);
-    let estimator = MaxL2::new(0.5, 0.5);
-    let dyn_est: &dyn Estimator<ObliviousOutcome> = &estimator;
-    let mut out = vec![0.0; outcomes.len()];
-    let mut group = c.benchmark_group("estimator_batch_throughput/oblivious_max_l_2");
-    group.throughput(Throughput::Elements(BATCH as u64));
-    group.bench_function("per_outcome", |b| {
-        b.iter(|| {
-            per_outcome_path(dyn_est, black_box(&outcomes), &mut out);
-            black_box(out.last().copied())
-        })
-    });
-    group.bench_function("lanes", |b| {
-        b.iter(|| {
-            lane_path(dyn_est, black_box(&lanes), &mut out);
-            black_box(out.last().copied())
-        })
-    });
-    group.finish();
-}
-
-fn bench_weighted(c: &mut Criterion) {
-    let outcomes = weighted_batch();
-    let mut lanes = WeightedLanes::new();
-    lanes.fill_from_outcomes(&outcomes);
-    let dyn_est: &dyn Estimator<WeightedOutcome> = &MaxLPps2;
-    let mut out = vec![0.0; outcomes.len()];
-    let mut group = c.benchmark_group("estimator_batch_throughput/weighted_max_l_pps_2");
-    group.throughput(Throughput::Elements(BATCH as u64));
-    group.bench_function("per_outcome", |b| {
-        b.iter(|| {
-            per_outcome_path(dyn_est, black_box(&outcomes), &mut out);
-            black_box(out.last().copied())
-        })
-    });
-    group.bench_function("lanes", |b| {
-        b.iter(|| {
-            lane_path(dyn_est, black_box(&lanes), &mut out);
-            black_box(out.last().copied())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_oblivious, bench_weighted);
 
 /// Fastest observed ns per *outcome* for the two paths, measured in
 /// interleaved A/B rounds (so clock-frequency drift affects both equally)
@@ -375,8 +309,5 @@ fn emit_json() {
 }
 
 fn main() {
-    let _args: Vec<String> = std::env::args().collect();
-    let mut criterion = Criterion::default();
-    benches(&mut criterion);
     emit_json();
 }

@@ -3,7 +3,7 @@
 //! Two questions, answered with machine-readable output:
 //!
 //! 1. **Codec speed** — encode / decode MB/s for every sketch family
-//!    (oblivious Poisson, PPS Poisson, bottom-k, VarOpt), each filled from
+//!    (oblivious Poisson, PPS Poisson, bottom-k), each filled from
 //!    the same 1M-record stream.  Sketch snapshots are only useful
 //!    operationally if serializing them is much cheaper than rebuilding
 //!    them.
@@ -31,7 +31,7 @@ use partial_info_estimators::{Scheme, Statistic, StreamPipeline};
 use pie_datagen::{generate_two_hours, Dataset, TrafficConfig};
 use pie_sampling::{
     BottomKSampler, Instance, ObliviousPoissonSampler, PpsPoissonSampler, PpsRanks, SamplingScheme,
-    SeedAssignment, Sketch, VarOptScheme,
+    SeedAssignment, Sketch,
 };
 use pie_store::{snapshot_from_slice, snapshot_to_vec, Decode, Encode};
 
@@ -143,7 +143,6 @@ fn main() {
             &dataset,
             &seeds,
         ),
-        codec_case("varopt_4096", &VarOptScheme::new(4096), &dataset, &seeds),
     ];
     for c in &cases {
         println!(

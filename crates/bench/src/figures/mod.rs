@@ -1,5 +1,5 @@
 //! One module per figure/table of the paper's evaluation, each exposing the
-//! computation behind the corresponding harness binary and Criterion bench.
+//! computation behind the corresponding harness binary.
 
 pub mod fig1;
 pub mod fig2;

@@ -6,10 +6,11 @@
 //! * a computation module under [`figures`] that produces the figure's data
 //!   series / tables through the public API of the other workspace crates;
 //! * a binary (`src/bin/fig*.rs`) that prints the regenerated rows
-//!   (`cargo run -p pie-bench --release --bin fig1_max_oblivious`, …);
-//! * a Criterion benchmark (`benches/`) that measures the cost of the
-//!   underlying computation, plus throughput benchmarks for the samplers and
-//!   the per-outcome estimators.
+//!   (`cargo run -p pie-bench --release --bin fig1_max_oblivious`, …).
+//!
+//! The hand-timed throughput benches under `benches/` (lane kernels, stream
+//! ingest, snapshot codec, trial engine, serving, engine load) each rewrite
+//! their `BENCH_*.json` at the workspace root.
 //!
 //! EXPERIMENTS.md records the paper-reported versus regenerated values.
 

@@ -42,21 +42,15 @@ pub enum KeyClass {
 }
 
 /// The effective sampling probability of a set sample: `min(1, 1/τ*)` for a
-/// PPS sample of binary data, or `p` for an explicitly weight-oblivious one.
-///
-/// # Panics
-/// Panics for sample schemes that do not describe per-key Bernoulli sampling
-/// of a set (bottom-k samples should be converted by using the `(k+1)`-st
-/// rank as the effective threshold, which their `InstanceSample` already does).
+/// PPS sample of binary data, `p` for an explicitly weight-oblivious one, and
+/// for bottom-k the rank-conditioned probability of a unit value (the
+/// `(k+1)`-st rank serves as the effective threshold).
 #[must_use]
 pub fn effective_probability(sample: &InstanceSample) -> f64 {
     match sample.scheme {
         SampleScheme::ObliviousPoisson { p } => p,
         SampleScheme::PpsPoisson { tau_star } => (1.0 / tau_star).min(1.0),
         SampleScheme::BottomK { .. } => sample.inclusion_probability(1.0),
-        SampleScheme::VarOpt { .. } => {
-            panic!("distinct-count estimators require per-key independent sampling")
-        }
     }
 }
 

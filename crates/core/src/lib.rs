@@ -23,7 +23,7 @@
 //! * sum aggregates: distinct counts, dominance norms, distances
 //!   ([`aggregate`]).
 //!
-//! Sampling itself (Poisson, bottom-k, VarOpt, seed assignments, outcomes)
+//! Sampling itself (Poisson, bottom-k, seed assignments, outcomes)
 //! lives in the companion crate `pie-sampling`; workload generation and the
 //! evaluation harness live in `pie-datagen` and `pie-analysis`.
 //!

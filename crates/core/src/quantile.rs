@@ -133,9 +133,8 @@ impl DocumentedEstimator<WeightedOutcome> for MinHtWeighted {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pie_datagen::Xoshiro256pp;
     use pie_sampling::{ObliviousEntry, WeightedEntry};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn enumerate_outcomes(v: &[f64], p: &[f64]) -> Vec<(f64, ObliviousOutcome)> {
         let r = v.len();
@@ -222,7 +221,7 @@ mod tests {
     #[test]
     fn min_ht_weighted_is_unbiased_monte_carlo() {
         let tau = [10.0, 8.0];
-        let mut rng = StdRng::seed_from_u64(17);
+        let mut rng = Xoshiro256pp::seed_from_u64(17);
         for v in &[[5.0f64, 3.0], [2.0, 6.0], [1.0, 1.0]] {
             let truth = v[0].min(v[1]);
             let trials = 300_000;

@@ -17,12 +17,10 @@
 //! heavy-tailed marginals plus partial overlap — not on the identity of the
 //! keys, so this substitution preserves the behaviour being measured.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use pie_sampling::Instance;
 
 use crate::dataset::Dataset;
+use crate::rng::Xoshiro256pp;
 use crate::zipf::zipf_values;
 
 /// Configuration for the two-hour traffic generator.
@@ -112,7 +110,7 @@ pub fn generate_two_hours(config: &TrafficConfig) -> Dataset {
         "shared_volume_fraction must be in [0,1]"
     );
 
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(config.seed);
     let n = config.keys_per_hour;
     let shared = ((n as f64) * config.shared_fraction).round() as usize;
     let only = n - shared;

@@ -5,7 +5,7 @@
 //! harness therefore uses Zipf-distributed values when synthesizing the
 //! Section 8.2 traffic workload.
 
-use rand::Rng;
+use crate::rng::Xoshiro256pp;
 
 /// A Zipf distribution over ranks `1..=n` with exponent `s ≥ 0`
 /// (`Pr[rank = k] ∝ k^{-s}`), sampled by inversion of the precomputed CDF.
@@ -46,7 +46,7 @@ impl Zipf {
     }
 
     /// Draws a rank in `1..=n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub fn sample(&self, rng: &mut Xoshiro256pp) -> usize {
         let u: f64 = rng.gen();
         match self
             .cdf
@@ -76,7 +76,7 @@ impl Zipf {
 /// parameters), shuffled into a random order.  This gives a reproducible
 /// workload whose sum is exactly `total` up to rounding.
 #[must_use]
-pub fn zipf_values<R: Rng + ?Sized>(count: usize, s: f64, total: f64, rng: &mut R) -> Vec<f64> {
+pub fn zipf_values(count: usize, s: f64, total: f64, rng: &mut Xoshiro256pp) -> Vec<f64> {
     assert!(count >= 1, "need at least one value");
     let zipf = Zipf::new(count, s);
     let mut values: Vec<f64> = (1..=count).map(|k| zipf.probability(k) * total).collect();
@@ -91,8 +91,6 @@ pub fn zipf_values<R: Rng + ?Sized>(count: usize, s: f64, total: f64, rng: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn cdf_is_normalized_and_monotone() {
@@ -106,7 +104,7 @@ mod tests {
     #[test]
     fn samples_cover_range_and_favour_small_ranks() {
         let z = Zipf::new(1000, 1.1);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Xoshiro256pp::seed_from_u64(1);
         let mut count_rank1 = 0;
         let mut count_tail = 0;
         let trials = 50_000;
@@ -145,7 +143,7 @@ mod tests {
 
     #[test]
     fn zipf_values_sum_to_total() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Xoshiro256pp::seed_from_u64(2);
         let values = zipf_values(1000, 1.0, 5.5e5, &mut rng);
         assert_eq!(values.len(), 1000);
         let sum: f64 = values.iter().sum();

@@ -15,10 +15,9 @@
 //!   of the paper's "known seeds" and coordinated-sampling models, and of
 //!   the bit-identical shard-merge guarantee;
 //! * rank distributions ([`rank`]): PPS ranks and exponential ranks;
-//! * the four scheme families: weight-oblivious and weighted Poisson
-//!   ([`poisson`]), bottom-k / priority / weighted-without-replacement over
-//!   a bounded heap ([`bottomk`]), and VarOpt with threshold merge
-//!   ([`varopt`]);
+//! * the three scheme families: weight-oblivious and weighted Poisson
+//!   ([`poisson`]), and bottom-k / priority / weighted-without-replacement
+//!   over a bounded heap ([`bottomk`]);
 //! * the per-instance sample representation ([`sample`]) with
 //!   rank-conditioned inclusion probabilities and deterministic (key-sorted)
 //!   iteration;
@@ -57,7 +56,6 @@ pub mod rank;
 pub mod sample;
 pub mod scheme;
 pub mod seed;
-pub mod varopt;
 pub mod view;
 
 pub use bottomk::{
@@ -78,5 +76,4 @@ pub use rank::{ExpRanks, PpsRanks, RankFamily};
 pub use sample::{InstanceSample, RankKind, SampleScheme};
 pub use scheme::{merge_tree, SamplingScheme, Sketch};
 pub use seed::{Coordination, SeedAssignment, SeedVisibility};
-pub use varopt::{VarOptSampler, VarOptScheme, VarOptSketch};
 pub use view::OutcomeView;

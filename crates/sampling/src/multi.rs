@@ -10,8 +10,8 @@
 //! ingest → merge → estimate flow; a sharded front-end (the umbrella crate's
 //! `StreamPipeline`) uses the same sketches across threads.
 //!
-//! Records are ingested in ascending key order, so even order-sensitive
-//! schemes (VarOpt) are reproducible across processes.
+//! Records are ingested in ascending key order, so every sketch sees its
+//! records in one reproducible order.
 
 use crate::instance::{Instance, Key};
 use crate::outcome::{ObliviousOutcome, WeightedOutcome};

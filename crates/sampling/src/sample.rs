@@ -53,13 +53,6 @@ pub enum SampleScheme {
         /// Rank family used to draw ranks.
         ranks: RankKind,
     },
-    /// VarOpt sampling with fixed size `k`; `threshold` on the sample is the
-    /// VarOpt threshold τ, and a key of value `v` has inclusion probability
-    /// `min(1, v/τ)`.
-    VarOpt {
-        /// Sample size.
-        k: usize,
-    },
 }
 
 impl SampleScheme {
@@ -82,8 +75,7 @@ pub struct InstanceSample {
     /// Scheme-specific threshold:
     /// * `ObliviousPoisson` — unused (0),
     /// * `PpsPoisson` — τ* (duplicated for convenience),
-    /// * `BottomK` — the `(k+1)`-st smallest rank (`+∞` if fewer than `k+1` keys),
-    /// * `VarOpt` — the VarOpt threshold τ.
+    /// * `BottomK` — the `(k+1)`-st smallest rank (`+∞` if fewer than `k+1` keys).
     pub threshold: f64,
     /// Sampled `(key, value)` pairs, sorted ascending by key.
     entries: Vec<(Key, f64)>,
@@ -222,17 +214,6 @@ impl InstanceSample {
                     }
                 }
             }
-            SampleScheme::VarOpt { .. } => {
-                if self.threshold <= 0.0 {
-                    if value > 0.0 {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                } else {
-                    (value / self.threshold).clamp(0.0, 1.0)
-                }
-            }
         }
     }
 
@@ -295,15 +276,13 @@ impl pie_store::Encode for SampleScheme {
                 k.encode(w)?;
                 ranks.encode(w)
             }
-            Self::VarOpt { k } => {
-                3u32.encode(w)?;
-                k.encode(w)
-            }
         }
     }
 }
 
 impl pie_store::Decode for SampleScheme {
+    /// Tag `3` belonged to a retired fixed-size reservoir scheme; it is
+    /// reserved, never reused, and decodes to [`StoreError::InvalidTag`].
     fn decode(r: &mut dyn std::io::Read) -> Result<Self, StoreError> {
         match u32::decode(r)? {
             0 => Ok(Self::ObliviousPoisson { p: f64::decode(r)? }),
@@ -313,9 +292,6 @@ impl pie_store::Decode for SampleScheme {
             2 => Ok(Self::BottomK {
                 k: usize::decode(r)?,
                 ranks: RankKind::decode(r)?,
-            }),
-            3 => Ok(Self::VarOpt {
-                k: usize::decode(r)?,
             }),
             tag => Err(StoreError::InvalidTag {
                 what: "SampleScheme",
@@ -465,6 +441,5 @@ mod tests {
             ranks: RankKind::Exp
         }
         .is_weighted());
-        assert!(SampleScheme::VarOpt { k: 3 }.is_weighted());
     }
 }

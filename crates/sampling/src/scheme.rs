@@ -25,13 +25,11 @@
 //! split into any number of shards as long as records of the same key land in
 //! the same shard (partition by key, e.g. [`crate::hash::mix64`]`(key) %
 //! shards`) and each key appears at most once per logical stream (records are
-//! pre-aggregated per key, as in a keyed log).  Under that contract, for the
-//! hash-seeded schemes (oblivious Poisson, PPS Poisson, bottom-k) the merged
-//! result is **bit-identical** to ingesting the concatenated stream into a
-//! single sketch: per-record decisions are pure functions of
-//! `(key, weight, seed)`.  VarOpt draws fresh randomness per sketch, so merge
-//! equivalence holds in distribution rather than bitwise (see
-//! [`crate::varopt`]).
+//! pre-aggregated per key, as in a keyed log).  Under that contract the
+//! merged result of every scheme here (oblivious Poisson, PPS Poisson,
+//! bottom-k) is **bit-identical** to ingesting the concatenated stream into
+//! a single sketch: per-record decisions are pure functions of
+//! `(key, weight, seed)`.
 //!
 //! # Reuse
 //!
@@ -85,12 +83,11 @@ pub trait Sketch: Send {
     /// — leaving the combined result in `group[0]` and draining the rest.
     ///
     /// The default implementation runs the balanced binary merge tree that
-    /// [`merge_tree`] always used, so schemes whose merge is order-sensitive
-    /// (VarOpt draws fresh randomness per sketch) keep their exact historical
-    /// merge order.  Schemes whose retained state is a pure function of the
-    /// record *set* (bottom-k) override this with a single k-bounded
-    /// selection over all candidates, which costs O(total candidates)
-    /// comparisons instead of O(shards · k log k) re-heapification.
+    /// [`merge_tree`] always used.  Schemes whose retained state is a pure
+    /// function of the record *set* (bottom-k) override this with a single
+    /// k-bounded selection over all candidates, which costs O(total
+    /// candidates) comparisons instead of O(shards · k log k)
+    /// re-heapification.
     fn merge_many(group: &mut [&mut Self])
     where
         Self: Sized,
@@ -148,14 +145,13 @@ pub trait Sketch: Send {
 /// A sampling scheme whose per-instance summarization runs as a streaming,
 /// mergeable [`Sketch`].
 ///
-/// Implemented by all four sampling families:
+/// Implemented by all three sampling families:
 ///
 /// | scheme | sketch | retained state |
 /// |---|---|---|
 /// | [`ObliviousPoissonSampler`](crate::ObliviousPoissonSampler) | [`ObliviousPoissonSketch`](crate::ObliviousPoissonSketch) | selected records |
 /// | [`PpsPoissonSampler`](crate::PpsPoissonSampler) | [`PpsPoissonSketch`](crate::PpsPoissonSketch) | selected records |
 /// | [`BottomKSampler`](crate::BottomKSampler) | [`BottomKSketch`](crate::BottomKSketch) | bounded `k + 1` heap |
-/// | [`VarOptScheme`](crate::VarOptScheme) | [`VarOptSketch`](crate::VarOptSketch) | fixed-size `k` reservoir |
 pub trait SamplingScheme {
     /// The streaming summary state this scheme accumulates.
     type Sketch: Sketch;
@@ -168,10 +164,9 @@ pub trait SamplingScheme {
 
     /// Opens an empty sketch for one shard of `instance_index`'s stream.
     ///
-    /// Hash-seeded schemes ignore `shard` — their per-record decisions depend
-    /// only on `(key, seed)`, which is what makes shard merges bit-identical
-    /// to single-stream ingestion.  Schemes that draw fresh randomness
-    /// (VarOpt) use `shard` to decorrelate the per-shard RNG streams.
+    /// Every scheme here is hash-seeded and ignores `shard`: its per-record
+    /// decisions depend only on `(key, seed)`, which is what makes shard
+    /// merges bit-identical to single-stream ingestion.
     fn sketch_for_shard(
         &self,
         seeds: &SeedAssignment,
@@ -198,7 +193,9 @@ pub mod sketch_tag {
     pub const PPS_POISSON: u32 = 2;
     /// [`BottomKSketch`](crate::BottomKSketch) snapshots (any rank family).
     pub const BOTTOM_K: u32 = 3;
-    /// [`VarOptSketch`](crate::VarOptSketch) snapshots.
+    /// Reserved: the tag of a retired fixed-size reservoir (VarOpt) sketch.
+    /// Never reused, so an old snapshot carrying it is rejected by every
+    /// decoder with a typed error instead of being misread.
     pub const VAR_OPT: u32 = 4;
 }
 
@@ -224,7 +221,6 @@ mod tests {
     use crate::bottomk::BottomKSampler;
     use crate::poisson::{ObliviousPoissonSampler, PpsPoissonSampler};
     use crate::rank::PpsRanks;
-    use crate::varopt::VarOptScheme;
 
     fn records(n: u64) -> Vec<(Key, f64)> {
         (0..n).map(|k| (k, 0.5 + (k % 7) as f64)).collect()
@@ -269,15 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_tree_preserves_varopt_size_invariant() {
-        let recs = records(800);
-        let seeds = SeedAssignment::independent_known(9);
-        let (single, sharded) = single_vs_sharded(&VarOptScheme::new(64), &recs, 4, &seeds);
-        assert_eq!(single.len(), 64);
-        assert_eq!(sharded.len(), 64);
-    }
-
-    #[test]
     fn sketches_are_reusable_after_finalize_and_reset() {
         let scheme = PpsPoissonSampler::new(4.0);
         let seeds_a = SeedAssignment::independent_known(1);
@@ -312,6 +299,5 @@ mod tests {
         );
         assert_eq!(PpsPoissonSampler::new(2.0).name(), "pps_poisson");
         assert_eq!(BottomKSampler::new(PpsRanks, 4).name(), "bottomk_pps");
-        assert_eq!(VarOptScheme::new(4).name(), "varopt");
     }
 }

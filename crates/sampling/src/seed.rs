@@ -124,10 +124,10 @@ impl SeedAssignment {
 
     /// Derives a deterministic 64-bit RNG seed for `(instance, shard)`.
     ///
-    /// Schemes that need fresh (non-hash-seeded) randomness — VarOpt's
-    /// eviction draws — use this to seed a per-sketch RNG: runs with the same
-    /// salt are reproducible, while distinct shards of the same instance get
-    /// decorrelated streams.  Per-key sampling seeds are untouched.
+    /// A seed for per-sketch randomness that is not hash-seeded per key:
+    /// runs with the same salt are reproducible, while distinct shards of
+    /// the same instance get decorrelated streams.  Per-key sampling seeds
+    /// are untouched.  Its values are pinned by `tests/seed_golden.rs`.
     #[inline]
     #[must_use]
     pub fn rng_seed(&self, instance: u64, shard: u64) -> u64 {

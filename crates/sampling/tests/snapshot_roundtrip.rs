@@ -9,12 +9,11 @@
 //! 1. re-encoding the decoded sketch reproduces the original bytes exactly
 //!    (the encoding is canonical), and
 //! 2. the decoded sketch *behaves* identically — continuing to ingest the
-//!    same records and finalizing yields a bit-identical `InstanceSample`
-//!    (for VarOpt this exercises the replayed RNG state).
+//!    same records and finalizing yields a bit-identical `InstanceSample`.
 
 use pie_sampling::{
     merge_tree, BottomKSampler, ExpRanks, InstanceSample, ObliviousPoissonSampler, PoissonSketch,
-    PpsPoissonSampler, PpsRanks, SamplingScheme, SeedAssignment, Sketch, VarOptScheme,
+    PpsPoissonSampler, PpsRanks, SamplingScheme, SeedAssignment, Sketch,
 };
 use pie_store::{snapshot_from_slice, snapshot_to_vec, StoreError};
 use proptest::prelude::*;
@@ -146,17 +145,6 @@ proptest! {
     }
 
     #[test]
-    fn varopt_roundtrip_replays_rng_state(salt in 0u64..1_000, n in 1usize..300, shards in 1usize..5, split_frac in 0.0f64..1.0, k in 1usize..48) {
-        // VarOpt's post-snapshot behavior depends on the restored RNG
-        // position; bit-identical continuation is the strongest check that
-        // the replayed generator state is exact.
-        let recs = records(n, salt);
-        let split = ((n as f64) * split_frac) as usize;
-        let seeds = SeedAssignment::independent_known(salt.wrapping_add(23));
-        assert_roundtrip_bitwise(&VarOptScheme::new(k), &recs, shards, split, &seeds);
-    }
-
-    #[test]
     fn instance_sample_and_seed_assignment_roundtrip(salt in 0u64..10_000, n in 0usize..200, tau in 0.5f64..50.0) {
         let recs = records(n, salt);
         let seeds = SeedAssignment::independent_known(salt);
@@ -244,8 +232,48 @@ fn cross_family_snapshots_are_rejected_with_typed_tags() {
     );
     let err = snapshot_from_slice::<pie_sampling::BottomKSketch<PpsRanks>>(&bytes).unwrap_err();
     assert!(matches!(err, StoreError::InvalidTag { .. }), "{err}");
-    let err = snapshot_from_slice::<pie_sampling::VarOptSketch>(&bytes).unwrap_err();
-    assert!(matches!(err, StoreError::InvalidTag { .. }), "{err}");
+
+    // Retired tags stay reserved: a hand-built snapshot of the deleted
+    // VarOpt sketch family, and an `InstanceSample` whose `SampleScheme`
+    // carries that family's retired tag 3, decode to typed errors.
+    let retired = |tag: u32| {
+        let mut w = pie_store::SnapshotWriter::new(Vec::new());
+        w.write(&tag).unwrap();
+        w.write(&16usize).unwrap();
+        w.write(&seeds).unwrap();
+        w.write(&0u64).unwrap();
+        w.finish().unwrap()
+    };
+    let retired_sketch = retired(pie_sampling::scheme::sketch_tag::VAR_OPT);
+    for err in [
+        snapshot_from_slice::<pie_sampling::ObliviousPoissonSketch>(&retired_sketch).unwrap_err(),
+        snapshot_from_slice::<pie_sampling::PpsPoissonSketch>(&retired_sketch).unwrap_err(),
+        snapshot_from_slice::<PoissonSketch>(&retired_sketch).unwrap_err(),
+        snapshot_from_slice::<pie_sampling::BottomKSketch<PpsRanks>>(&retired_sketch).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, StoreError::InvalidTag { tag: 4, .. }),
+            "{err}"
+        );
+    }
+    let mut w = pie_store::SnapshotWriter::new(Vec::new());
+    w.write(&0u64).unwrap(); // instance index
+    w.write(&3u32).unwrap(); // retired SampleScheme tag
+    w.write(&16usize).unwrap();
+    w.write(&1.0f64).unwrap();
+    w.write(&vec![(1u64, 2.0f64)]).unwrap();
+    let sample = w.finish().unwrap();
+    let err = snapshot_from_slice::<InstanceSample>(&sample).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            StoreError::InvalidTag {
+                what: "SampleScheme",
+                tag: 3
+            }
+        ),
+        "{err}"
+    );
 }
 
 #[test]
@@ -320,5 +348,4 @@ fn empty_sketch_snapshots_roundtrip() {
     assert_roundtrip_bitwise(&ObliviousPoissonSampler::new(0.4), &recs, 1, 0, &seeds);
     assert_roundtrip_bitwise(&PpsPoissonSampler::new(2.0), &recs, 1, 0, &seeds);
     assert_roundtrip_bitwise(&BottomKSampler::new(PpsRanks, 4), &recs, 1, 0, &seeds);
-    assert_roundtrip_bitwise(&VarOptScheme::new(4), &recs, 1, 0, &seeds);
 }

@@ -11,7 +11,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use partial_info_estimators::{CatalogEntry, Scheme};
-use pie_datagen::paper_example;
+use pie_datagen::{paper_example, Xoshiro256pp};
 use pie_serve::wire::{
     read_request, read_response, write_message, write_message_traced, Request, SketchConfig,
     EXT_TRACE_CONTEXT, MAX_FRAME_BYTES, WIRE_MAGIC, WIRE_VERSION,
@@ -19,8 +19,6 @@ use pie_serve::wire::{
 use pie_serve::{Response, ServeClient, ServeError, Server, TraceContext};
 use pie_store::frame::write_frame;
 use pie_store::{Encode, StoreError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One well-formed frame per request type, as the mutation corpus.
 fn corpus() -> Vec<Vec<u8>> {
@@ -99,7 +97,7 @@ fn corpus() -> Vec<Vec<u8>> {
 #[test]
 fn seeded_random_mutations_never_panic_the_request_decoder() {
     let corpus = corpus();
-    let mut rng = StdRng::seed_from_u64(0xF055_AA11);
+    let mut rng = Xoshiro256pp::seed_from_u64(0xF055_AA11);
     let mut decoded_ok = 0usize;
     let mut faulted = 0usize;
     for round in 0..4000 {
@@ -194,7 +192,7 @@ fn wrong_version_and_wrong_magic_are_distinct_typed_faults() {
 
 #[test]
 fn random_garbage_never_panics_either_decoder() {
-    let mut rng = StdRng::seed_from_u64(0xDEAD_BEEF);
+    let mut rng = Xoshiro256pp::seed_from_u64(0xDEAD_BEEF);
     for _ in 0..2000 {
         let len = rng.gen_range(0usize..256);
         let garbage: Vec<u8> = (0..len).map(|_| (rng.gen::<u32>() & 0xFF) as u8).collect();
@@ -417,7 +415,7 @@ fn live_server_survives_fatal_faults_on_fresh_connections() {
     send_raw_then_expect_alive(&server, &whole[..whole.len() / 2]);
 
     // Seeded-random garbage connections.
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = Xoshiro256pp::seed_from_u64(7);
     for _ in 0..20 {
         let len = rng.gen_range(1usize..128);
         let garbage: Vec<u8> = (0..len).map(|_| (rng.gen::<u32>() & 0xFF) as u8).collect();
@@ -574,7 +572,7 @@ fn response_decoder_survives_mutations_of_real_responses() {
 
     let mut frame = Vec::new();
     write_message(&mut frame, &Response::Estimated(report)).unwrap();
-    let mut rng = StdRng::seed_from_u64(99);
+    let mut rng = Xoshiro256pp::seed_from_u64(99);
     for _ in 0..2000 {
         let mut mutated = frame.clone();
         let i = rng.gen_range(0usize..mutated.len());

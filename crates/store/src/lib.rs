@@ -23,8 +23,8 @@
 //!   panics.
 //!
 //! The concrete codecs live next to the types they serialize: every sketch
-//! family in `pie-sampling` (oblivious Poisson, PPS Poisson, bottom-k,
-//! VarOpt) plus `InstanceSample` and `SeedAssignment` implement
+//! family in `pie-sampling` (oblivious Poisson, PPS Poisson, bottom-k) plus
+//! `InstanceSample` and `SeedAssignment` implement
 //! [`Encode`]/[`Decode`] there, `RunningStats` and `Evaluation` in
 //! `pie-analysis`, and pipeline reports, checkpoint manifests, and the
 //! cross-process shard-merge path in the umbrella crate.

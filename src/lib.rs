@@ -8,7 +8,7 @@
 //! convenience:
 //!
 //! * [`sampling`] (`pie-sampling`) — hash-seeded randomization, rank
-//!   distributions, Poisson / bottom-k / VarOpt samplers, per-key outcomes;
+//!   distributions, Poisson and bottom-k samplers, per-key outcomes;
 //! * [`core`] (`pie-core`) — the paper's estimators: Horvitz–Thompson
 //!   baselines, the Pareto-optimal `L`/`U` estimators for `max` and `OR`,
 //!   the known-seed PPS estimators, the Algorithm 1 derivation engine, the

@@ -5,7 +5,7 @@
 //! * nonnegativity of the L/U estimators on arbitrary outcomes;
 //! * dominance of the L/U estimators over Horvitz–Thompson;
 //! * structural invariants of the sampling substrate (rank monotonicity,
-//!   bottom-k sample size, VarOpt fixed size, seed determinism);
+//!   bottom-k sample size, seed determinism);
 //! * consistency of the batched estimation path: `estimate_batch` agrees
 //!   with per-outcome `estimate` for every registered estimator, and the
 //!   borrowed `OutcomeView` accessors agree with the deprecated
@@ -33,7 +33,7 @@ use partial_info_estimators::core::weighted::{MaxHtPps, MaxLPps2};
 use partial_info_estimators::core::Estimator;
 use partial_info_estimators::sampling::{
     BottomKSampler, ExpRanks, Instance, ObliviousEntry, ObliviousLanes, ObliviousOutcome,
-    OutcomeView, PpsRanks, RankFamily, SeedAssignment, VarOptSampler, WeightedEntry, WeightedLanes,
+    OutcomeView, PpsRanks, RankFamily, SeedAssignment, WeightedEntry, WeightedLanes,
     WeightedOutcome,
 };
 
@@ -230,24 +230,6 @@ proptest! {
         for (key, value) in s.iter() {
             let rank = sampler.rank_of(key, value, &seeds, 0);
             prop_assert!(rank <= s.threshold);
-        }
-    }
-
-    /// VarOpt reservoirs never exceed their capacity and keep every key whose
-    /// value exceeds the final threshold.
-    #[test]
-    fn varopt_size_and_heavy_keys(n in 1usize..300, k in 1usize..40, seed in 0u64..500) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let inst = Instance::from_pairs((0..n as u64).map(|i| (i, 0.5 + (i % 11) as f64)));
-        let mut rng = StdRng::seed_from_u64(seed);
-        let s = VarOptSampler::sample(k, &inst, &mut rng, 0);
-        prop_assert_eq!(s.len(), k.min(n));
-        if s.threshold > 0.0 {
-            for (key, value) in inst.iter() {
-                if value > s.threshold {
-                    prop_assert!(s.contains(key), "heavy key {key} missing");
-                }
-            }
         }
     }
 

@@ -11,11 +11,11 @@
 //! A change that means to move a number edits its row here and says why;
 //! a change that claims no behaviour change leaves this file alone.
 
+use partial_info_estimators::datagen::Xoshiro256pp as Generator;
 use partial_info_estimators::datagen::{
     generate_set_pair, generate_two_hours, paper_example, Dataset, SetPairConfig, TrafficConfig,
 };
 use partial_info_estimators::{CatalogEntry, Scheme};
-use rand::{rngs::StdRng as Generator, Rng as _, SeedableRng as _};
 
 /// FNV-1a over a stream of 64-bit words (little-endian bytes).
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {

@@ -5,10 +5,9 @@
 //!
 //! * **Merge equivalence** — ingesting a key-partitioned stream into
 //!   per-shard sketches and merging is equivalent to ingesting the
-//!   concatenated stream into one sketch: *bit-identical* for the
-//!   hash-seeded schemes (oblivious Poisson, PPS Poisson, bottom-k over PPS
-//!   and EXP ranks), *distribution-identical* for VarOpt (fresh eviction
-//!   randomness per sketch).
+//!   concatenated stream into one sketch: *bit-identical* for every scheme
+//!   (oblivious Poisson, PPS Poisson, bottom-k over PPS and EXP ranks), all
+//!   of them hash-seeded.
 //! * **Streaming = batch** — a sketch's `finalize` equals the legacy batch
 //!   `sample()` wrapper on the materialized instance.
 //! * **Pipeline invariance** — `StreamPipeline` reproduces the batch
@@ -17,15 +16,12 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use partial_info_estimators::core::suite::{max_weighted_suite, or_oblivious_suite};
 use partial_info_estimators::datagen::{generate_two_hours, shard_of, TrafficConfig};
 use partial_info_estimators::sampling::{
-    merge_tree, sample_all, BottomKSampler, ExpRanks, Instance, InstanceSample, Key,
-    ObliviousPoissonSampler, PpsPoissonSampler, PpsRanks, SamplingScheme, SeedAssignment, Sketch,
-    VarOptSampler, VarOptScheme,
+    merge_tree, BottomKSampler, ExpRanks, Instance, InstanceSample, Key, ObliviousPoissonSampler,
+    PpsPoissonSampler, PpsRanks, SamplingScheme, SeedAssignment, Sketch,
 };
 use partial_info_estimators::{Pipeline, Scheme, Statistic, StreamPipeline};
 
@@ -123,76 +119,6 @@ proptest! {
         prop_assert_eq!(&single, &sharded);
         prop_assert_eq!(&single, &exp.sample(&instance_of(&recs), &seeds, 0));
     }
-
-    #[test]
-    fn varopt_single_stream_matches_batch_given_shared_seed(
-        n in 80u64..300,
-        salt in 0u64..1_000,
-        k in 8usize..48,
-    ) {
-        // The single-stream sketch and the legacy batch sampler consume the
-        // same derived RNG stream in the same (key-ascending) order, so their
-        // samples are bit-identical.
-        let recs = records(n);
-        let seeds = SeedAssignment::independent_known(salt);
-        let samples = sample_all(&VarOptScheme::new(k), &[instance_of(&recs)], &seeds);
-        let mut rng = StdRng::seed_from_u64(seeds.rng_seed(0, 0));
-        let batch = VarOptSampler::sample(k, &instance_of(&recs), &mut rng, 0);
-        prop_assert_eq!(&samples[0], &batch);
-    }
-
-    #[test]
-    fn varopt_merge_preserves_structural_invariants(
-        n in 150u64..400,
-        salt in 0u64..1_000,
-        shards in 2usize..6,
-    ) {
-        let k = 32;
-        let mut recs = records(n);
-        recs.push((1_000_003, 10_000.0)); // a key no threshold can evict
-        let seeds = SeedAssignment::independent_known(salt);
-        let (single, sharded) = single_vs_sharded(&VarOptScheme::new(k), &recs, shards, &seeds, 0);
-        prop_assert_eq!(single.len(), k);
-        prop_assert_eq!(sharded.len(), k);
-        prop_assert!(sharded.contains(1_000_003), "heavy key must survive merge");
-        prop_assert!(sharded.threshold >= 0.0 && sharded.threshold.is_finite());
-        // Every surviving entry's HT contribution is the adjusted weight
-        // max(v, τ) — finite and positive.
-        for (_, v) in sharded.iter() {
-            prop_assert!(v > 0.0 && v.is_finite());
-        }
-    }
-}
-
-/// Sharded, merged VarOpt estimation stays unbiased: the threshold merge
-/// re-enters small items at their adjusted weight, so the merged sample's
-/// Horvitz–Thompson subset-sum over the *union* stream is unbiased even
-/// though eviction randomness differs per shard.
-#[test]
-fn varopt_merge_total_estimate_is_unbiased() {
-    let recs = records(250);
-    let truth: f64 = recs.iter().map(|&(_, v)| v).sum();
-    let shards = 4;
-    let scheme = VarOptScheme::new(40);
-    let reps = 600u64;
-    let mut sum = 0.0;
-    for salt in 0..reps {
-        let seeds = SeedAssignment::independent_known(salt);
-        let mut pool: Vec<_> = (0..shards)
-            .map(|s| scheme.sketch_for_shard(&seeds, 0, s as u64))
-            .collect();
-        for &(k, v) in &recs {
-            pool[shard_of(k, shards)].ingest(k, v);
-        }
-        merge_tree(&mut pool);
-        sum += pool[0].finalize().ht_subset_sum(|_| true);
-    }
-    let mean = sum / reps as f64;
-    let rel_err = (mean - truth).abs() / truth;
-    assert!(
-        rel_err < 0.05,
-        "relative bias {rel_err} (mean {mean}, truth {truth})"
-    );
 }
 
 /// Acceptance check: streaming and batch estimator outputs are bit-identical
