@@ -3,9 +3,10 @@
 //!
 //! Every generated dataset, every Monte-Carlo simulation in `pie-analysis`
 //! and the seeded unit tests draw from [`Xoshiro256pp`], so its stream *is*
-//! the reproduction's data.  It is pinned output for output by
-//! `tests/report_golden.rs`; a change here changes every dataset, figure and
-//! snapshot size, and must update those pins on purpose.
+//! the reproduction's data.  `tests/report_golden.rs` pins its first
+//! outputs, one of each draw, and the datasets generated from it; a change
+//! here changes every dataset, figure and snapshot size, and must update
+//! those pins on purpose.
 //!
 //! It offers exactly the draws the workspace makes: a unit `f64`, `f64`
 //! over `a..b` and `a..=b`, `usize` over `a..b` and `a..=b`, `u32` over

@@ -236,15 +236,11 @@ fn cross_family_snapshots_are_rejected_with_typed_tags() {
     // Retired tags stay reserved: a hand-built snapshot of the deleted
     // VarOpt sketch family, and an `InstanceSample` whose `SampleScheme`
     // carries that family's retired tag 3, decode to typed errors.
-    let retired = |tag: u32| {
-        let mut w = pie_store::SnapshotWriter::new(Vec::new());
-        w.write(&tag).unwrap();
-        w.write(&16usize).unwrap();
-        w.write(&seeds).unwrap();
-        w.write(&0u64).unwrap();
-        w.finish().unwrap()
-    };
-    let retired_sketch = retired(pie_sampling::scheme::sketch_tag::VAR_OPT);
+    let mut w = pie_store::SnapshotWriter::new(Vec::new());
+    w.write(&pie_sampling::scheme::sketch_tag::VAR_OPT).unwrap();
+    w.write(&16usize).unwrap(); // the retired family's capacity k
+    w.write(&seeds).unwrap();
+    let retired_sketch = w.finish().unwrap();
     for err in [
         snapshot_from_slice::<pie_sampling::ObliviousPoissonSketch>(&retired_sketch).unwrap_err(),
         snapshot_from_slice::<pie_sampling::PpsPoissonSketch>(&retired_sketch).unwrap_err(),
@@ -259,7 +255,7 @@ fn cross_family_snapshots_are_rejected_with_typed_tags() {
     let mut w = pie_store::SnapshotWriter::new(Vec::new());
     w.write(&0u64).unwrap(); // instance index
     w.write(&3u32).unwrap(); // retired SampleScheme tag
-    w.write(&16usize).unwrap();
+    w.write(&16usize).unwrap(); // its k
     w.write(&1.0f64).unwrap();
     w.write(&vec![(1u64, 2.0f64)]).unwrap();
     let sample = w.finish().unwrap();
